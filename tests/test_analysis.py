@@ -163,11 +163,34 @@ def test_bepp_bound(path4):
         assert b <= a + 1e-12
 
 
-def test_threshold_report_invariants(ghz3):
-    report = threshold_report(ghz3, "ghz", Family.RHO_A, "fmin", 1.0)
+# Pinned (value, lo, hi, rounds_used) of one search per trajectory loop:
+# restricted p_min runs the gain-and-hold predicate, rho-q p_min the fixed
+# point and the climb predicate, q_min, f_max and f_min the fixed point and
+# the climb. rounds_used counts every round applied, so it pins the stop
+# decisions of each loop exactly.
+@pytest.mark.parametrize("kind,n,family,quantity,p,want", [
+    (GraphKind.GHZ, 4, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
+     (0.7936767578124999, 0.793603515625, 0.79375, 13181)),
+    (GraphKind.GHZ, 5, Family.RHO_Q, "pmin", 1.0,
+     (0.9669677734375002, 0.9668945312500001, 0.9670410156250001, 2256)),
+    (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "qmin", 0.99,
+     (0.6716089248657227, 0.6716079711914062, 0.6716098785400391, 984)),
+    (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "fmax", 0.97,
+     (0.9237740042879217, 0.9237740032879217, 0.9237740052879216, 22)),
+    (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_X, "fmin", 0.99,
+     (0.2791607975959778, 0.27915990352630615, 0.2791616916656494, 894)),
+    (GraphKind.GHZ, 3, Family.RHO_A, "fmin", 1.0,
+     (0.5000009536743164, 0.5, 0.5000019073486328, 249)),
+], ids=["ghz4-restricted-pmin", "ghz5-rho-q-pmin", "path4-qmin", "path4-fmax", "path4-rho-x-fmin",
+        "ghz3-rho-a-fmin"])
+def test_threshold_report_invariants(kind, n, family, quantity, p, want):
+    g = standard_graph(kind, n)
+    report = threshold_report(g, kind.value, family, quantity, p)
     assert isinstance(report, ThresholdReport)
     assert report.lo < report.value < report.hi
     assert report.hi - report.lo <= 2 * report.tolerance + 1e-12
-    assert report.rounds_used > 0
+    value, lo, hi, rounds_used = want
+    assert report.rounds_used == rounds_used
+    assert (report.value, report.lo, report.hi) == pytest.approx((value, lo, hi), abs=1e-12)
     with pytest.raises(BadParam):
-        threshold_report(ghz3, "ghz", Family.RHO_A, "bogus", 1.0)
+        threshold_report(g, kind.value, family, "bogus", p)
