@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint
 from .graphs import Graph, GraphKind, standard_graph
-from .protocol import Protocol, StepFn, p1_step, standard_steps
+from .protocol import Protocol, StepFn, _RoundMeter, p1_step, standard_steps, trajectory
 from .states import (
     GDState,
     apply_pauli_channel,
@@ -93,13 +93,6 @@ def ra_map_closed_form(f: float, n_a: int) -> float:
 # fixed points
 
 
-class _RoundMeter:
-    """Counts recurrence rounds consumed by a search."""
-
-    def __init__(self):
-        self.rounds = 0
-
-
 def _fixed_point_full(
     s0: GDState,
     steps: list[tuple[str, StepFn]],
@@ -114,32 +107,24 @@ def _fixed_point_full(
     the limit so the returned state reflects the limit's shape. Raises
     NoFixedPoint if the trajectory falls below the uniform-state fidelity.
     """
-    g = s0.graph
-    floor = 1.0 / g.dim
-    period = len(steps)
     state = s0
     f_prev = state.fidelity
     d_prev = None
     ratio_prev = None
     limit_prev = None
     limit_found = None
-    rounds = 0
-    while rounds < r_max:
-        for _, fn in steps:
-            state = fn(state).state
-        rounds += period
-        if meter is not None:
-            meter.rounds += period
+    for rnd in trajectory(s0, steps, r_max, STALL_EPS, meter, whole_periods=True):
+        state = rnd.state
         f = state.fidelity
-        if f < floor:
-            raise NoFixedPoint(f"fidelity {f} fell below the uniform value {floor}")
+        if rnd.below_floor:
+            raise NoFixedPoint(f"fidelity {f} fell below the uniform value {1.0 / s0.graph.dim}")
         if limit_found is not None:
             if abs(f - limit_found) <= 0.02:
                 return limit_found, state
             continue
         d = f - f_prev
         f_prev = f
-        if abs(d) < STALL_EPS:
+        if rnd.stalled:
             return f, state
         if d_prev is not None and d_prev != 0.0:
             ratio = d / d_prev
@@ -163,16 +148,6 @@ def _fixed_point_full(
     return (float(limit_prev) if limit_prev is not None else f_prev), state
 
 
-def _fixed_point(
-    s0: GDState,
-    steps: list[tuple[str, StepFn]],
-    r_max: int = 40000,
-    meter: _RoundMeter | None = None,
-) -> float:
-    value, _ = _fixed_point_full(s0, steps, r_max, meter)
-    return value
-
-
 def f_max(
     g: Graph,
     p: float,
@@ -187,7 +162,7 @@ def f_max(
     if p == 1.0 and f_m == 0.0:
         return 1.0
     steps = standard_steps(schedule, p, f_m)
-    return _fixed_point(pure_target(g), steps, meter=meter)
+    return _fixed_point_full(pure_target(g), steps, meter=meter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,29 +179,15 @@ def _climbs_to(
 ) -> bool:
     """True when the trajectory from s0 reaches within reach_tol of target,
     having either started there or strictly gained fidelity on the way."""
-    g = s0.graph
-    floor = 1.0 / g.dim
     f0 = s0.fidelity
     if f0 >= target - reach_tol:
         return True
-    period = len(steps)
-    state = s0
-    f_prev = f0
-    rounds = 0
-    while rounds < r_max:
-        for _, fn in steps:
-            state = fn(state).state
-        rounds += period
-        if meter is not None:
-            meter.rounds += period
-        f = state.fidelity
+    for rnd in trajectory(s0, steps, r_max, STALL_EPS, meter, whole_periods=True):
+        f = rnd.state.fidelity
         if f >= target - reach_tol:
             return f >= f0 + GAIN_MARGIN
-        if f < floor:
-            return False
-        if abs(f - f_prev) < STALL_EPS:
-            return False  # settled short of the target
-        f_prev = f
+        if rnd.below_floor or rnd.stalled:
+            return False  # diverged, or settled short of the target
     return False
 
 
@@ -244,22 +205,12 @@ def _gains_and_holds(
     slows without bound: a sustained climb identifies the gain region even
     when the budget ends mid-crawl.
     """
-    g = s0.graph
-    floor = 1.0 / g.dim
     f0 = s0.fidelity
-    period = len(steps)
-    state = s0
     prev = f0
     declines = 0
-    rounds = 0
-    while rounds < r_max:
-        for _, fn in steps:
-            state = fn(state).state
-        rounds += period
-        if meter is not None:
-            meter.rounds += period
-        f = state.fidelity
-        if f < floor or f < f0 - 1e-12:
+    for rnd in trajectory(s0, steps, r_max, STALL_EPS, meter, whole_periods=True):
+        f = rnd.state.fidelity
+        if rnd.below_floor or f < f0 - 1e-12:
             return False
         delta = f - prev
         if delta < -1e-13:
@@ -268,7 +219,7 @@ def _gains_and_holds(
                 return False
         else:
             declines = 0
-        if abs(delta) < STALL_EPS:
+        if rnd.stalled:
             return f >= f0 + GAIN_MARGIN  # settled; purifying iff above the input
         prev = f
     return prev >= f0 + GAIN_MARGIN and declines == 0

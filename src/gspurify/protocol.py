@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,19 +129,7 @@ def _xor_square(lam: np.ndarray, n: int, conv_mask: int, mode: ConvMode) -> np.n
     if mode is ConvMode.FAST:
         spectrum = wht_bits(lam, n, conv_mask)
         return wht_bits(spectrum * spectrum, n, conv_mask, inverse=True)
-    # NAIVE: evaluate the double sum block by block over the coincidence bits
-    full = (1 << n) - 1
-    coin_subs = spread_submasks(full ^ conv_mask)
-    conv_subs = spread_submasks(conv_mask)
-    ranks = np.arange(len(conv_subs))
-    out = np.zeros_like(lam)
-    for base in coin_subs:
-        block = lam[base + conv_subs]
-        acc = np.zeros_like(block)
-        for i in range(len(conv_subs)):
-            acc[ranks ^ i] += block[i] * block
-        out[base + conv_subs] = acc
-    return out
+    return _xor_cross_naive(lam, lam, n, conv_mask)
 
 
 def _xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
@@ -212,6 +200,8 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, mode: Conv
             u = _xor_square(s.lam, n, conv_mask, mode)
 
     p_succ = float(u.sum())
+    if not np.isfinite(p_succ):
+        raise BadParam(f"acceptance probability {p_succ} is not finite")
     if p_succ < 1e-300:
         raise ZeroSuccess(f"acceptance probability {p_succ} vanished")
     floor = -REL_NEG_TOL * max(float(u.max()), 1e-30)
@@ -268,43 +258,88 @@ def standard_steps(schedule: Sequence[Protocol], p: float, f_m: float) -> list[t
     return steps
 
 
-def run_schedule(s0: GDState, steps: Sequence[tuple[str, StepFn]], stop: StopRule = StopRule()) -> PurificationTrace:
-    """Drive labeled step functions until a stop verdict fires.
+class _RoundMeter:
+    """Counts recurrence rounds consumed by a search."""
+
+    def __init__(self):
+        self.rounds = 0
+
+
+class Round(NamedTuple):
+    """One applied step of a trajectory, as `trajectory` yields it."""
+
+    index: int  # rounds applied so far, this one included
+    label: str
+    f_before: float
+    state: GDState
+    p_succ: float
+    below_floor: bool  # fidelity under the uniform-state value 1/2^n
+    stalled: bool  # period end with |dF| < tol over the whole period
+
+
+def trajectory(
+    s0: GDState,
+    steps: Sequence[tuple[str, StepFn]],
+    r_max: int,
+    tol: float,
+    meter: _RoundMeter | None = None,
+    whole_periods: bool = False,
+) -> Iterator[Round]:
+    """Apply the labeled step functions cyclically from s0, at most r_max
+    rounds, yielding after each one.
 
     Stall is only tested at whole-schedule boundaries because consecutive
-    rounds move different coefficient sectors.
+    rounds move different coefficient sectors. With whole_periods the budget
+    is checked once per period and only period ends are yielded, so whole
+    periods run while fewer than r_max rounds have been applied. The caller
+    decides which verdict ends the trajectory.
     """
+    period = len(steps)
+    floor = 1.0 / s0.graph.dim
+    state = s0
+    f_period = state.fidelity
+    r = 0
+    while r < r_max or (whole_periods and r % period):
+        label, fn = steps[r % period]
+        f_before = state.fidelity
+        result = fn(state)
+        state = result.state
+        r += 1
+        if meter is not None:
+            meter.rounds += 1
+        f = state.fidelity
+        stalled = False
+        if r % period == 0:
+            stalled = abs(f - f_period) < tol
+            f_period = f
+        elif whole_periods:
+            continue
+        yield Round(r, label, f_before, state, result.p_succ, f < floor, stalled)
+
+
+def run_schedule(s0: GDState, steps: Sequence[tuple[str, StepFn]], stop: StopRule = StopRule()) -> PurificationTrace:
+    """Drive labeled step functions until a stop verdict fires: convergence
+    and divergence are tested after every round, stall once per period."""
     if not steps:
         raise BadParam("schedule must be nonempty")
-    g = s0.graph
-    floor = 1.0 / g.dim
     state = s0
     rows: list[TraceRow] = []
     verdict = Verdict.MAX_ROUNDS
-    period = len(steps)
-    f_last_period = state.fidelity
     if state.fidelity >= 1.0 - stop.eps:
         verdict = Verdict.CONVERGED
     else:
-        r = 0
-        while r < stop.r_max:
-            label, fn = steps[r % period]
-            r += 1
-            f_before = state.fidelity
-            result = fn(state)
-            state = result.state
-            rows.append(TraceRow(r, label, f_before, state.fidelity, result.p_succ))
+        for rnd in trajectory(s0, steps, stop.r_max, stop.tol):
+            state = rnd.state
+            rows.append(TraceRow(rnd.index, rnd.label, rnd.f_before, state.fidelity, rnd.p_succ))
             if state.fidelity >= 1.0 - stop.eps:
                 verdict = Verdict.CONVERGED
                 break
-            if state.fidelity < floor:
+            if rnd.below_floor:
                 verdict = Verdict.DIVERGED
                 break
-            if r % period == 0:
-                if abs(state.fidelity - f_last_period) < stop.tol:
-                    verdict = Verdict.STALLED
-                    break
-                f_last_period = state.fidelity
+            if rnd.stalled:
+                verdict = Verdict.STALLED
+                break
     cost = 1.0
     for row in rows:
         cost *= 2.0 / row.p_succ
