@@ -1,18 +1,22 @@
 """Command-line front end: scenarios, sweeps and CSV emission.
 
-Exit codes: 0 success, 2 usage or input-file problems, 3 numerical failures
-(bracket or zero-success conditions), 4 oracle mismatch.
+Exit codes: 0 success, 2 usage or input-file problems (a graph of more than
+MAX_QUBITS vertices included), 3 numerical failures (bracket or zero-success
+conditions), 4 oracle mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, replace
 
 from .analysis import (
     Family,
+    _family_state,
     bepp_bound,
     f_max,
     threshold_report,
@@ -26,12 +30,12 @@ from .errors import (
     NoFixedPoint,
     OddCycle,
     ParseError,
+    TooLarge,
     ZeroSuccess,
 )
 from .graphs import Graph, load_graph, standard_graph_by_name
 from .protocol import Protocol, StopRule, iterate
 from .selfcheck import run_equivalence_suite
-from .states import global_white, prepared_with_channel_noise, pure_target, rho_a_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,6 +43,10 @@ EXIT_NUMERIC = 3
 EXIT_ORACLE = 4
 
 FLOAT_FMT = "{:.17g}"
+
+# Largest graph the CLI accepts: a state is 2^N doubles (128 MiB at N = 24)
+# and a step holds several of them at once.
+MAX_QUBITS = 24
 
 
 @dataclass
@@ -75,11 +83,7 @@ class Scenario:
             raise ParseError(f"f-m={self.f_m} outside [0,1/2]")
         if self.family not in {f.value for f in Family}:
             raise ParseError(f"unknown family {self.family!r}")
-        rest = self.schedule
-        while rest.startswith(("P1", "P2")):
-            rest = rest[2:]
-        if rest or not self.schedule:
-            raise ParseError(f"schedule {self.schedule!r} must be a nonempty string of P1/P2 rounds")
+        _parse_schedule(self.schedule)
         if self.r_max < 1:
             raise ParseError(f"r-max={self.r_max} must be positive")
 
@@ -92,10 +96,19 @@ class Scenario:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"{source}: a scenario must be a JSON object")
         known = set(Scenario().__dict__)
         unknown = set(data) - known
         if unknown:
             raise ParseError(f"{source}: unknown scenario keys {sorted(unknown)}")
+        hints = typing.get_type_hints(Scenario)
+        for key, value in data.items():
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            if float in allowed:
+                allowed += (int,)  # a JSON number without a fraction reads as int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ParseError(f"{source}: {key} must be {Scenario.__annotations__[key]}, got {value!r}")
         sc = Scenario(**data)
         sc.validate()
         return sc
@@ -118,40 +131,42 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
     return sc
 
 
+def _parse_schedule(text: str) -> tuple[Protocol, ...]:
+    try:
+        rounds = tuple(Protocol(text[i:i + 2]) for i in range(0, len(text), 2))
+    except ValueError:
+        rounds = ()
+    if not rounds:
+        raise ParseError(f"schedule {text!r} must be a nonempty string of P1/P2 rounds")
+    return rounds
+
+
 def _resolve_graph(sc: Scenario) -> Graph:
+    """The scenario's graph, refused with TooLarge beyond MAX_QUBITS vertices
+    before anything of size 2^N is allocated."""
     if sc.graph == "file":
-        return load_graph(sc.graph_file)
-    if sc.graph == "grid":
+        g = load_graph(sc.graph_file)
+        dims = (g.n,)
+    elif sc.graph == "grid":
         rows = sc.rows if sc.rows is not None else 2
-        cols = sc.cols if sc.cols is not None else max(sc.n // rows, 1)
-        return standard_graph_by_name("grid", rows, cols)
-    return standard_graph_by_name(sc.graph, sc.n)
+        cols = sc.cols
+        if cols is None:
+            if rows < 1 or sc.n % rows:
+                raise ParseError(f"grid of {rows} rows cannot hold n={sc.n} vertices; give --cols")
+            cols = sc.n // rows
+        dims = (rows, cols)
+    else:
+        dims = (sc.n,)
+    n = math.prod(dims)
+    if n > MAX_QUBITS:
+        raise TooLarge(f"{n} vertices exceed the limit of {MAX_QUBITS}: a state holds 2^N coefficients")
+    return g if sc.graph == "file" else standard_graph_by_name(sc.graph, *dims)
 
 
 def _graph_label(sc: Scenario) -> str:
     if sc.graph == "file":
         return sc.graph_file or "file"
     return sc.graph
-
-
-def _input_state(sc: Scenario, g: Graph):
-    family = Family(sc.family)
-    if family is Family.RHO_Q:
-        return prepared_with_channel_noise(g, sc.param)
-    if family is Family.RHO_X:
-        return global_white(g, sc.param)
-    if family in (Family.RHO_A, Family.RESTRICTED_BITFLIP):
-        return rho_a_family(g, sc.param)
-    return pure_target(g)
-
-
-def _schedule(sc: Scenario) -> tuple[Protocol, ...]:
-    out = []
-    rest = sc.schedule
-    while rest:
-        out.append(Protocol(rest[:2]))
-        rest = rest[2:]
-    return tuple(out)
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
@@ -202,8 +217,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_purify(args) -> int:
     sc = parse_scenario(args)
     g = _resolve_graph(sc)
-    s0 = _input_state(sc, g)
-    trace = iterate(s0, _schedule(sc), sc.p, sc.f_m, StopRule(sc.eps, sc.tol, sc.r_max))
+    s0 = _family_state(g, Family(sc.family), sc.param)
+    trace = iterate(s0, _parse_schedule(sc.schedule), sc.p, sc.f_m, StopRule(sc.eps, sc.tol, sc.r_max))
     lines = [trace.to_csv()]
     lines.append(f"# verdict,{trace.verdict.value}\n")
     lines.append(f"# final_fidelity,{FLOAT_FMT.format(trace.final_fidelity)}\n")
@@ -244,9 +259,9 @@ def _cmd_scan(args) -> int:
         raise ParseError("scan needs --quantity (fmin|qmin|pmin|fmax)")
     n_values = _parse_int_grid(sc.n_grid, "n-grid") if sc.n_grid else [sc.n]
     p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
+    graphs = [_resolve_graph(replace(sc, n=n)) for n in n_values]
     rows = [f"# gspurify {__version__} scan\n", THRESHOLD_HEADER]
-    for n in n_values:
-        g = standard_graph_by_name(sc.graph, n) if sc.graph != "file" else _resolve_graph(sc)
+    for g in graphs:
         for p in p_values:
             report = threshold_report(g, _graph_label(sc), Family(sc.family), sc.quantity, p)
             rows.append(_report_row(_graph_label(sc), g.n, report, p, sc.quantity))
@@ -340,7 +355,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, OddCycle, InvalidParam) as exc:
+    except (ParseError, OddCycle, InvalidParam, TooLarge) as exc:
         sys.stderr.write(f"gspurify: {exc}\n")
         return EXIT_USAGE
     except (BracketError, ZeroSuccess, NoFixedPoint, EmptyRegion, BadParam) as exc:
@@ -353,3 +368,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

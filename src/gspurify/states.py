@@ -9,6 +9,7 @@ between indices, so trace is preserved exactly.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +39,9 @@ class GDState:
         vec = np.asarray(self.lam, dtype=np.float64)
         if vec.shape != (self.graph.dim,):
             raise BadParam(f"coefficient vector has shape {vec.shape}, expected ({self.graph.dim},)")
-        low = vec.min()
+        low = vec.min()  # NaN and -inf propagate here, +inf only to the max
+        if not (math.isfinite(low) and math.isfinite(vec.max())):
+            raise BadParam("coefficient vector holds NaN or infinite entries")
         if low < -NEG_SLACK:
             raise NegativeCoefficient(f"coefficient {low} below -{NEG_SLACK}")
         if low < 0.0:

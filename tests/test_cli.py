@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gspurify
 
 from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, Scenario, run_command
 from gspurify.errors import ParseError
@@ -143,6 +149,13 @@ def test_scenario_validation():
         Scenario.from_json("{not json")
     with pytest.raises(ParseError):
         Scenario.from_json(json.dumps({"schedule": "P3"}))
+    with pytest.raises(ParseError, match="n must be int"):
+        Scenario.from_json(json.dumps({"n": "4"}))
+    with pytest.raises(ParseError):
+        Scenario.from_json(json.dumps({"r_max": True}))
+    with pytest.raises(ParseError):
+        Scenario.from_json(json.dumps([1, 2]))
+    assert Scenario.from_json(json.dumps({"p": 1, "rows": None})).p == 1
 
 
 def test_scenario_file_with_flag_override(capsys, tmp_path):
@@ -154,3 +167,41 @@ def test_scenario_file_with_flag_override(capsys, tmp_path):
     # flag override: param 1.0 converges in zero rounds
     assert "# verdict,converged" in out.read_text()
     assert "# expected_cost,1" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("purify", "--graph", "path", "--n", "40"),
+    ("scan", "--graph", "path", "--n-grid", "4:40:36", "--quantity", "fmax", "--p", "1"),
+    ("threshold", "--graph", "file", "--graph-file", "{path25}", "--quantity", "fmax", "--p", "1"),
+    ("purify", "--graph", "grid", "--n", "7"),
+    ("purify", "--scenario", "{scenario}"),
+], ids=["n-cap", "n-grid-cap", "graph-file-cap", "grid-rows-mismatch", "scenario-field-type"])
+def test_bad_input_exits_usage(capsys, tmp_path, argv):
+    path25 = tmp_path / "path25.txt"
+    path25.write_text("25 24\n" + "".join(f"{k} {k + 1}\n" for k in range(24)))
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps({"n": "4"}))
+    argv = [a.format(path25=path25, scenario=scenario) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""  # refused before any scan row is computed
+    assert err.startswith("gspurify: ")
+
+
+def test_scan_grid_with_rows_and_cols(capsys):
+    code, out, _ = run(capsys, "scan", "--graph", "grid", "--rows", "2", "--cols", "3",
+                       "--quantity", "fmax", "--p", "1")
+    assert code == EXIT_OK
+    assert out.splitlines()[2].startswith("grid,6,")
+
+
+def test_module_entry_point():
+    src = str(Path(gspurify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "gspurify.cli", "purify", "--r-max", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "round,protocol,F_before,F_after,p_succ,cumulative_expected_cost"
+    assert lines[1].startswith("1,P1,")
+    assert "# verdict,max-rounds" in lines

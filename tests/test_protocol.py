@@ -200,3 +200,14 @@ def test_schedule_labels(path4):
 def test_empty_schedule_rejected(path4):
     with pytest.raises(BadParam):
         run_schedule(pure_target(path4), [])
+
+
+def test_non_finite_acceptance_rejected(path4):
+    # a state whose coefficients were corrupted after validation
+    s = prepared_with_channel_noise(path4, 0.9)
+    lam = s.lam.copy()
+    lam[3] = np.nan
+    object.__setattr__(s, "lam", lam)
+    for mode in ConvMode:
+        with pytest.raises(BadParam, match="not finite"):
+            p1_step(s, mode=mode)

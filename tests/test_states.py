@@ -183,6 +183,15 @@ def test_negative_coefficient_policy(ghz3):
         GDState(ghz3, lam)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_rejected(ghz3, bad):
+    lam = np.zeros(8)
+    lam[0] = 1.0
+    lam[5] = bad
+    with pytest.raises(BadParam, match="NaN or infinite"):
+        GDState(ghz3, lam)
+
+
 def test_csv_dump(ghz3):
     s = rho_a_family(ghz3, 0.8)
     text = s.to_csv()
