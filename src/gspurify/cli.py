@@ -98,11 +98,10 @@ class Scenario:
             raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
         if not isinstance(data, dict):
             raise ParseError(f"{source}: a scenario must be a JSON object")
-        known = set(Scenario().__dict__)
-        unknown = set(data) - known
+        hints = typing.get_type_hints(Scenario)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ParseError(f"{source}: unknown scenario keys {sorted(unknown)}")
-        hints = typing.get_type_hints(Scenario)
         for key, value in data.items():
             allowed = typing.get_args(hints[key]) or (hints[key],)
             if float in allowed:

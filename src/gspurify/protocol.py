@@ -249,13 +249,8 @@ StepFn = Callable[[GDState], StepResult]
 
 
 def standard_steps(schedule: Sequence[Protocol], p: float, f_m: float) -> list[tuple[str, StepFn]]:
-    steps: list[tuple[str, StepFn]] = []
-    for proto in schedule:
-        if proto is Protocol.P1:
-            steps.append(("P1", lambda s, _p=p, _f=f_m: p1_step(s, _p, _f)))
-        else:
-            steps.append(("P2", lambda s, _p=p, _f=f_m: p2_step(s, _p, _f)))
-    return steps
+    step = {Protocol.P1: p1_step, Protocol.P2: p2_step}
+    return [(proto.value, lambda s, _fn=step[proto]: _fn(s, p, f_m)) for proto in schedule]
 
 
 class _RoundMeter:
@@ -270,7 +265,6 @@ class Round(NamedTuple):
 
     index: int  # rounds applied so far, this one included
     label: str
-    f_before: float
     state: GDState
     p_succ: float
     below_floor: bool  # fidelity under the uniform-state value 1/2^n
@@ -294,6 +288,8 @@ def trajectory(
     periods run while fewer than r_max rounds have been applied. The caller
     decides which verdict ends the trajectory.
     """
+    if not steps:
+        raise BadParam("schedule must be nonempty")
     period = len(steps)
     floor = 1.0 / s0.graph.dim
     state = s0
@@ -301,7 +297,6 @@ def trajectory(
     r = 0
     while r < r_max or (whole_periods and r % period):
         label, fn = steps[r % period]
-        f_before = state.fidelity
         result = fn(state)
         state = result.state
         r += 1
@@ -314,13 +309,13 @@ def trajectory(
             f_period = f
         elif whole_periods:
             continue
-        yield Round(r, label, f_before, state, result.p_succ, f < floor, stalled)
+        yield Round(r, label, state, result.p_succ, f < floor, stalled)
 
 
 def run_schedule(s0: GDState, steps: Sequence[tuple[str, StepFn]], stop: StopRule = StopRule()) -> PurificationTrace:
     """Drive labeled step functions until a stop verdict fires: convergence
     and divergence are tested after every round, stall once per period."""
-    if not steps:
+    if not steps:  # also when s0 has converged and the engine never starts
         raise BadParam("schedule must be nonempty")
     state = s0
     rows: list[TraceRow] = []
@@ -329,8 +324,8 @@ def run_schedule(s0: GDState, steps: Sequence[tuple[str, StepFn]], stop: StopRul
         verdict = Verdict.CONVERGED
     else:
         for rnd in trajectory(s0, steps, stop.r_max, stop.tol):
+            rows.append(TraceRow(rnd.index, rnd.label, state.fidelity, rnd.state.fidelity, rnd.p_succ))
             state = rnd.state
-            rows.append(TraceRow(rnd.index, rnd.label, rnd.f_before, state.fidelity, rnd.p_succ))
             if state.fidelity >= 1.0 - stop.eps:
                 verdict = Verdict.CONVERGED
                 break

@@ -39,9 +39,11 @@ class GDState:
         vec = np.asarray(self.lam, dtype=np.float64)
         if vec.shape != (self.graph.dim,):
             raise BadParam(f"coefficient vector has shape {vec.shape}, expected ({self.graph.dim},)")
-        low = vec.min()  # NaN and -inf propagate here, +inf only to the max
-        if not (math.isfinite(low) and math.isfinite(vec.max())):
-            raise BadParam("coefficient vector holds NaN or infinite entries")
+        # One BLAS pass: the sum of squares is finite iff every entry is
+        # finite and below 1e154, far above any probability weight.
+        if not math.isfinite(vec.dot(vec)):
+            raise BadParam("coefficient vector is not finite: NaN, infinite or beyond 1e154")
+        low = vec.min()
         if low < -NEG_SLACK:
             raise NegativeCoefficient(f"coefficient {low} below -{NEG_SLACK}")
         if low < 0.0:

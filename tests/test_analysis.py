@@ -67,6 +67,8 @@ def test_f_max_regression_path4(path4):
     assert f_max(path4, 0.97) == pytest.approx(0.9237740042879217, abs=1e-8)
     with pytest.raises(BadParam):
         f_max(path4, 0.0)
+    with pytest.raises(BadParam, match="nonempty"):
+        f_max(path4, 0.97, schedule=())
 
 
 def test_f_max_monotone_in_p(path4):

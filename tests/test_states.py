@@ -188,7 +188,7 @@ def test_non_finite_coefficient_rejected(ghz3, bad):
     lam = np.zeros(8)
     lam[0] = 1.0
     lam[5] = bad
-    with pytest.raises(BadParam, match="NaN or infinite"):
+    with pytest.raises(BadParam, match="not finite"):
         GDState(ghz3, lam)
 
 
