@@ -11,6 +11,7 @@ transform domain, so a full noisy step costs O(2^n * n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -200,7 +201,7 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, mode: Conv
             u = _xor_square(s.lam, n, conv_mask, mode)
 
     p_succ = float(u.sum())
-    if not np.isfinite(p_succ):
+    if not math.isfinite(p_succ):
         raise BadParam(f"acceptance probability {p_succ} is not finite")
     if p_succ < 1e-300:
         raise ZeroSuccess(f"acceptance probability {p_succ} vanished")
