@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import gspurify
-
 from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, Scenario, run_command
 from gspurify.errors import ParseError
 
