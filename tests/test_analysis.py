@@ -169,7 +169,8 @@ def test_bepp_bound(path4):
 # restricted p_min runs the gain-and-hold predicate, rho-q p_min the fixed
 # point and the climb predicate, q_min, f_max and f_min the fixed point and
 # the climb. rounds_used counts every round applied, so it pins the stop
-# decisions of each loop exactly.
+# decisions of each loop exactly. The ring-12 case records the current
+# restricted p_min only; criterion 04 keeps its own window.
 @pytest.mark.parametrize("kind,n,family,quantity,p,want", [
     (GraphKind.GHZ, 4, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
      (0.7936767578124999, 0.793603515625, 0.79375, 13181)),
@@ -183,8 +184,12 @@ def test_bepp_bound(path4):
      (0.2791607975959778, 0.27915990352630615, 0.2791616916656494, 894)),
     (GraphKind.GHZ, 3, Family.RHO_A, "fmin", 1.0,
      (0.5000009536743164, 0.5, 0.5000019073486328, 249)),
+    (GraphKind.CLOSED_CLUSTER, 6, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
+     (0.6813232421875, 0.6812499999999999, 0.6813964843749999, 18890)),
+    (GraphKind.CLOSED_CLUSTER, 12, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
+     (0.6140869140625, 0.614013671875, 0.6141601562500001, 5139)),
 ], ids=["ghz4-restricted-pmin", "ghz5-rho-q-pmin", "path4-qmin", "path4-fmax", "path4-rho-x-fmin",
-        "ghz3-rho-a-fmin"])
+        "ghz3-rho-a-fmin", "ring6-restricted-pmin", "ring12-restricted-pmin"])
 def test_threshold_report_invariants(kind, n, family, quantity, p, want):
     g = standard_graph(kind, n)
     report = threshold_report(g, kind.value, family, quantity, p)
