@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint
 from .graphs import Graph, GraphKind, standard_graph
-from .protocol import Protocol, StepFn, _RoundMeter, p1_step, standard_steps, trajectory
+from .protocol import Protocol, StepFn, _RoundMeter, a_support_steps, standard_steps, trajectory
 from .states import (
     GDState,
     apply_pauli_channel,
@@ -26,6 +26,7 @@ from .states import (
     prepared_with_channel_noise,
     pure_target,
     rho_a_family,
+    rho_a_support,
 )
 
 GAIN_MARGIN = 1e-9  # a member must beat its input fidelity by this much
@@ -225,12 +226,6 @@ def _gains_and_holds(
     return prev >= f0 + GAIN_MARGIN and declines == 0
 
 
-def _restricted_steps(p: float) -> list[tuple[str, StepFn]]:
-    """Bit-flip noise on the B-vertices of both copies, then a perfect
-    A-information round."""
-    return [("P1", lambda s: p1_step(bitflip_b_noise(s, p), 1.0, 0.0))]
-
-
 def _target_dominates(state: GDState, ratio: float = 0.5) -> bool:
     """Whether the target coefficient strictly dominates every other one.
 
@@ -373,9 +368,9 @@ def _p_min_bracket(
         grid = _low_biased_grid(lo_f, 1.0, grid_points)
 
         def pred(p: float) -> bool:
-            steps = _restricted_steps(p)
+            steps = a_support_steps(g, p)  # the state never leaves B-part 0
             return any(
-                _gains_and_holds(rho_a_family(g, f), steps, r_max=6000, meter=meter)
+                _gains_and_holds(rho_a_support(g, f), steps, r_max=6000, meter=meter)
                 for f in grid
             )
 

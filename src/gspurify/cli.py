@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     ZeroSuccess,
 )
-from .graphs import Graph, load_graph, standard_graph_by_name
+from .graphs import MAX_QUBITS, Graph, load_graph, standard_graph_by_name
 from .protocol import Protocol, StopRule, iterate
 from .selfcheck import run_equivalence_suite
 
@@ -43,10 +43,6 @@ EXIT_NUMERIC = 3
 EXIT_ORACLE = 4
 
 FLOAT_FMT = "{:.17g}"
-
-# Largest graph the CLI accepts: a state is 2^N doubles (128 MiB at N = 24)
-# and a step holds several of them at once.
-MAX_QUBITS = 24
 
 
 @dataclass

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import DuplicateEdge, InvalidParam, OddCycle
+from .errors import DuplicateEdge, InvalidParam, OddCycle, TooLarge
+
+# Largest graph the package simulates: a state is 2^N doubles (128 MiB at
+# N = 24) and a step holds several of them at once.
+MAX_QUBITS = 24
 
 
 class GraphKind(Enum):
@@ -172,6 +176,8 @@ def parse_graph_text(text: str, source: str = "<string>") -> Graph:
     """Parse the plain text graph format: first line "n m", then m lines "u v".
 
     The coloring is always recomputed; the file carries only the topology.
+    A header with more than MAX_QUBITS vertices raises TooLarge before any
+    graph is built.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -183,6 +189,8 @@ def parse_graph_text(text: str, source: str = "<string>") -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InvalidParam(f"{source}:1: expected two integers, got {lines[0]!r}") from None
+    if n > MAX_QUBITS:
+        raise TooLarge(f"{source}:1: {n} vertices exceed the limit of {MAX_QUBITS}")
     if len(lines) - 1 != m:
         raise InvalidParam(f"{source}: header promises {m} edges, file has {len(lines) - 1}")
     edges = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
-from .states import GDState, depolarizing_channel
+from .states import ASupportState, GDState, _depolarize_all, _pauli_mix
 from .transforms import sign_lookup, spread_submasks, wht_bits
 
 REL_NEG_TOL = 1e-12  # transform roundoff guard on unnormalized outputs
@@ -169,12 +169,7 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, mode: Conv
     coin_mask = g.a_mask if which is Protocol.P1 else g.b_mask
 
     if mode is ConvMode.NAIVE:
-        lam = s.lam
-        if p < 1.0:
-            noisy = s
-            for v in range(n):
-                noisy = depolarizing_channel(noisy, v, p)
-            lam = noisy.lam
+        lam = _depolarize_all(g, s.lam, p) if p < 1.0 else s.lam
         if f_m == 0.0:
             u = _xor_square(lam, n, conv_mask, mode)
         else:
@@ -200,17 +195,24 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, mode: Conv
         else:
             u = _xor_square(s.lam, n, conv_mask, mode)
 
-    p_succ = float(u.sum())
-    if not math.isfinite(p_succ):
-        raise BadParam(f"acceptance probability {p_succ} is not finite")
-    if p_succ < 1e-300:
-        raise ZeroSuccess(f"acceptance probability {p_succ} vanished")
+    p_succ = _acceptance(u)
     floor = -REL_NEG_TOL * max(float(u.max()), 1e-30)
     low = float(u.min())
     if low < floor:
         raise BadParam(f"unnormalized output coefficient {low} below roundoff floor")
     np.maximum(u, 0.0, out=u)
     return StepResult(GDState(g, u / p_succ), p_succ, which)
+
+
+def _acceptance(u: np.ndarray) -> float:
+    """Success probability of a round: the sum of its unnormalized output,
+    refused when it is not finite or vanishes."""
+    p_succ = float(u.sum())
+    if not math.isfinite(p_succ):
+        raise BadParam(f"acceptance probability {p_succ} is not finite")
+    if p_succ < 1e-300:
+        raise ZeroSuccess(f"acceptance probability {p_succ} vanished")
+    return p_succ
 
 
 def _flip_weights_by_pattern(g: Graph, f_m: float, which: Protocol):
@@ -247,6 +249,36 @@ def p2_step(s: GDState, p: float = 1.0, f_m: float = 0.0, mode: ConvMode = ConvM
 
 
 StepFn = Callable[[GDState], StepResult]
+
+
+def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
+    """The restricted bit-flip model as a step on ASupportState: bit-flip
+    noise on the B-vertices of both copies, then a perfect A-information round.
+
+    A state on the syndromes with B-part 0 never leaves them: an X on a
+    B-vertex toggles only its neighbours, which are A-vertices, and with
+    every B-part 0 the perfect round's convolution over the B bits squares
+    each coefficient. One round is thus n_b shuffles of a 2^n_a vector and
+    a pointwise square, with the same arithmetic as the full-space round.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise BadParam(f"p={p} outside [0,1]")
+    flip = (1.0 - p) / 2.0
+    subs = spread_submasks(g.a_mask)
+    ranks = np.arange(len(subs))
+    # An X on B-vertex v moves rank r to r ^ rank(neighbor_mask[v]).
+    moves = [((flip, ranks ^ int(np.searchsorted(subs, g.neighbor_mask[v]))),)
+             for v in sorted(g.b_vertices)]
+
+    def step(s: ASupportState) -> StepResult:
+        lam = s.lam
+        for move in moves:
+            lam = _pauli_mix(lam, 1.0 - flip, move)
+        u = lam * lam
+        p_succ = _acceptance(u)
+        return StepResult(ASupportState(s.graph, u / p_succ), p_succ, Protocol.P1)
+
+    return [(Protocol.P1.value, step)]
 
 
 def standard_steps(schedule: Sequence[Protocol], p: float, f_m: float) -> list[tuple[str, StepFn]]:

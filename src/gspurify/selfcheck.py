@@ -13,8 +13,9 @@ import numpy as np
 
 from . import oracle
 from .graphs import Graph, GraphKind, standard_graph
-from .protocol import p1_step, p2_step
+from .protocol import a_support_steps, p1_step, p2_step
 from .states import (
+    ASupportState,
     GDState,
     PauliAxis,
     apply_pauli_channel,
@@ -199,6 +200,35 @@ def check_state_constructions() -> list[CheckResult]:
     return results
 
 
+def check_restricted_support(
+    seed: int = 0,
+    states_per_graph: int = 4,
+    p_values: tuple[float, ...] = (1.0, 0.8, 0.5),
+) -> list[CheckResult]:
+    """The restricted-model round on the A-support, embedded into the full
+    space, against B-vertex bit flips followed by the full-space perfect P1
+    round (itself checked against the dense oracle above)."""
+    results = []
+    for label, kind, n in STANDARD_GRAPHS:
+        g = standard_graph(kind, n)
+        rng = np.random.default_rng(seed + 3)
+        worst = 0.0
+        for _ in range(states_per_graph):
+            lam = rng.random(1 << g.n_a)
+            s = ASupportState(g, lam / lam.sum())
+            for p in p_values:
+                ((_, step),) = a_support_steps(g, p)
+                got = step(s)
+                want = p1_step(bitflip_b_noise(s.embedded(), p))
+                err = max(
+                    float(np.abs(got.state.embedded().lam - want.state.lam).max()),
+                    abs(got.p_succ - want.p_succ),
+                )
+                worst = max(worst, err)
+        results.append(CheckResult(f"{label} A-support restricted round vs full", worst, STEP_TOL))
+    return results
+
+
 def run_equivalence_suite(seed: int = 0, full: bool = True) -> list[CheckResult]:
     """The whole oracle-equivalence battery. `full=False` trims the random
     state counts for quick smoke runs."""
@@ -210,4 +240,5 @@ def run_equivalence_suite(seed: int = 0, full: bool = True) -> list[CheckResult]
     results += check_basis_permutation(seed)
     results += check_channels(seed, chan_states)
     results += check_protocol_steps(seed, states)
+    results += check_restricted_support(seed)
     return results

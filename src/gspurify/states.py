@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BadDistribution, BadParam, NegativeCoefficient
 from .graphs import Graph, syndrome_parts
+from .transforms import spread_submasks
 
 NEG_SLACK = 1e-15  # coefficients above -NEG_SLACK are clamped, below raise
 NORM_TOL = 1e-12
@@ -114,6 +115,26 @@ def _validate_probs(probs) -> tuple[float, float, float, float]:
     return p
 
 
+def _pauli_mix(lam: np.ndarray, p_keep: float, moves) -> np.ndarray:
+    """Raw-vector kernel of every Pauli channel here: p_keep * lam plus
+    p * lam[perm] for each (p, perm) in moves, skipping p == 0.
+
+    The terms are added in the order given, so a chain of calls on raw arrays
+    gives the same bits as the same chain through validated GDStates."""
+    out = p_keep * lam
+    for p, perm in moves:
+        if p != 0.0:
+            out = out + p * lam[perm]
+    return out
+
+
+def _vertex_moves(g: Graph, idx: np.ndarray, v: int, p_x: float, p_y: float, p_z: float):
+    """The (p, perm) moves of single-vertex Paulis, without the p == 0 ones."""
+    return tuple((p, idx ^ pauli_flip_mask(g, v, axis))
+                 for p, axis in ((p_x, PauliAxis.X), (p_y, PauliAxis.Y), (p_z, PauliAxis.Z))
+                 if p != 0.0)
+
+
 def apply_pauli_channel(s: GDState, v: int, probs) -> GDState:
     """Mix s with its images under single-qubit Paulis on vertex v.
 
@@ -121,12 +142,8 @@ def apply_pauli_channel(s: GDState, v: int, probs) -> GDState:
     for each Pauli branch, so the coefficient sum is conserved exactly.
     """
     p_i, p_x, p_y, p_z = _validate_probs(probs)
-    idx = np.arange(s.graph.dim)
-    lam = p_i * s.lam
-    for p, axis in ((p_x, PauliAxis.X), (p_y, PauliAxis.Y), (p_z, PauliAxis.Z)):
-        if p != 0.0:
-            lam = lam + p * s.lam[idx ^ pauli_flip_mask(s.graph, v, axis)]
-    return GDState(s.graph, lam)
+    g = s.graph
+    return GDState(g, _pauli_mix(s.lam, p_i, _vertex_moves(g, np.arange(g.dim), v, p_x, p_y, p_z)))
 
 
 def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
@@ -139,15 +156,22 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
     return apply_pauli_channel(s, v, (q + r, r, r, r))
 
 
+def _depolarize_all(g: Graph, lam: np.ndarray, q: float) -> np.ndarray:
+    """Raw coefficients after a depolarizing pass of quality q on every
+    vertex in turn, without a GDState per vertex."""
+    if not 0.0 <= q <= 1.0:
+        raise BadParam(f"q={q} outside [0,1]")
+    r = (1.0 - q) / 4.0
+    idx = np.arange(g.dim)
+    for v in range(g.n):
+        lam = _pauli_mix(lam, q + r, _vertex_moves(g, idx, v, r, r, r))
+    return lam
+
+
 def prepared_with_channel_noise(g: Graph, q: float) -> GDState:
     """Target state after sending each particle through a depolarizing channel
     of quality q (the per-particle transmission-noise input family)."""
-    if not 0.0 <= q <= 1.0:
-        raise BadParam(f"q={q} outside [0,1]")
-    s = pure_target(g)
-    for v in range(g.n):
-        s = depolarizing_channel(s, v, q)
-    return s
+    return GDState(g, _depolarize_all(g, pure_target(g).lam, q))
 
 
 def global_white(g: Graph, x: float) -> GDState:
@@ -160,20 +184,50 @@ def global_white(g: Graph, x: float) -> GDState:
     return GDState(g, lam)
 
 
-def rho_a_family(g: Graph, f: float) -> GDState:
-    """One-parameter family supported on pure-B syndromes: weight f at 0 and
-    the rest spread evenly over the 2^n_a - 1 other indices with b_part 0."""
+@dataclass(frozen=True)
+class ASupportState:
+    """A state whose weight lies on the syndromes with B-part 0, kept as its
+    2^n_a coefficients: entry r belongs to syndrome spread_submasks(a_mask)[r],
+    so the XOR of two ranks is the rank of the XOR of their syndromes.
+
+    graph is the full graph, so a trajectory's divergence floor stays 1/2^n.
+    """
+
+    graph: Graph
+    lam: np.ndarray
+
+    def __post_init__(self):
+        if self.lam.shape != (1 << self.graph.n_a,):
+            raise BadParam(
+                f"A-support vector has shape {self.lam.shape}, expected ({1 << self.graph.n_a},)")
+
+    @property
+    def fidelity(self) -> float:
+        return float(self.lam[0])
+
+    def embedded(self) -> GDState:
+        """The same state as a full 2^n graph-diagonal state."""
+        lam = np.zeros(self.graph.dim)
+        lam[spread_submasks(self.graph.a_mask)] = self.lam
+        return GDState(self.graph, lam)
+
+
+def rho_a_support(g: Graph, f: float) -> ASupportState:
+    """rho_a_family on its A-support: weight f at rank 0 and the rest spread
+    evenly over the 2^n_a - 1 other ranks."""
     if g.n_a == 0:
         raise BadParam("graph has no A-vertices; the family is degenerate")
     if not 0.0 <= f <= 1.0:
         raise BadParam(f"f={f} outside [0,1]")
-    from .transforms import spread_submasks
-
-    a_indices = spread_submasks(g.a_mask)
-    lam = np.zeros(g.dim)
-    lam[a_indices[1:]] = (1.0 - f) / (len(a_indices) - 1)
+    lam = np.full(1 << g.n_a, (1.0 - f) / ((1 << g.n_a) - 1))
     lam[0] = f
-    return GDState(g, lam)
+    return ASupportState(g, lam)
+
+
+def rho_a_family(g: Graph, f: float) -> GDState:
+    """One-parameter family supported on pure-B syndromes: weight f at 0 and
+    the rest spread evenly over the 2^n_a - 1 other indices with b_part 0."""
+    return rho_a_support(g, f).embedded()
 
 
 def bitflip_b_noise(s: GDState, p: float) -> GDState:
@@ -182,7 +236,9 @@ def bitflip_b_noise(s: GDState, p: float) -> GDState:
     if not 0.0 <= p <= 1.0:
         raise BadParam(f"p={p} outside [0,1]")
     flip = (1.0 - p) / 2.0
-    out = s
-    for v in sorted(s.graph.b_vertices):
-        out = apply_pauli_channel(out, v, (1.0 - flip, flip, 0.0, 0.0))
-    return out
+    g = s.graph
+    idx = np.arange(g.dim)
+    lam = s.lam
+    for v in sorted(g.b_vertices):
+        lam = _pauli_mix(lam, 1.0 - flip, ((flip, idx ^ g.neighbor_mask[v]),))
+    return GDState(g, lam)

@@ -102,6 +102,20 @@ def test_p_min_family_validation(path4):
         p_min(path4, Family.RHO_X)
 
 
+@pytest.mark.parametrize("n,value,rounds_used", [
+    (16, 0.5925537109375001, 2556),
+    (20, 0.5820068359374999, 1743),
+    (24, 0.5869873046875, 1496),
+])
+def test_restricted_p_min_reaches_large_rings(n, value, rounds_used):
+    # The restricted search steps a 2^(n/2) A-support vector, so rings whose
+    # full 2^n state would not fit a search run in well under a second.
+    g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
+    report = threshold_report(g, "ring", Family.RESTRICTED_BITFLIP, "pmin")
+    assert report.value == pytest.approx(value, abs=1e-12)
+    assert report.rounds_used == rounds_used
+
+
 def test_restricted_gain_region_examples():
     x_lo, x_hi = restricted_gain_region(10, 1.0)
     assert x_hi >= 1.0 - 1e-6

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,17 @@ def test_bad_input_exits_usage(capsys, tmp_path, argv):
     assert code == EXIT_USAGE
     assert out == ""  # refused before any scan row is computed
     assert err.startswith("gspurify: ")
+
+
+def test_huge_graph_file_header_exits_at_once(capsys, tmp_path):
+    gf = tmp_path / "huge.txt"
+    gf.write_text("10000000 0\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "threshold", "--graph", "file", "--graph-file", str(gf),
+                         "--quantity", "fmax", "--p", "1")
+    assert time.perf_counter() - t0 < 1.0  # refused from the header, nothing built
+    assert code == EXIT_USAGE
+    assert out == "" and "exceed the limit" in err
 
 
 def test_scan_grid_with_rows_and_cols(capsys):

@@ -1,7 +1,8 @@
 import pytest
 
-from gspurify.errors import DuplicateEdge, InvalidParam, OddCycle
+from gspurify.errors import DuplicateEdge, InvalidParam, OddCycle, TooLarge
 from gspurify.graphs import (
+    MAX_QUBITS,
     GraphKind,
     build_graph,
     graph_to_text,
@@ -152,6 +153,14 @@ def test_text_parse_errors():
         parse_graph_text("2 1\n0 x\n")
     with pytest.raises(OddCycle):
         parse_graph_text("3 3\n0 1\n1 2\n2 0\n")
+
+
+def test_text_header_over_cap_refused_before_building():
+    assert parse_graph_text(f"{MAX_QUBITS} 0\n").n == MAX_QUBITS
+    with pytest.raises(TooLarge, match="g.txt:1:"):
+        parse_graph_text(f"{MAX_QUBITS + 1} 0\n", source="g.txt")
+    with pytest.raises(TooLarge):
+        parse_graph_text("10000000 0\n")  # would take hours to build
 
 
 def test_kind_by_name():

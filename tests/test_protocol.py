@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gspurify.errors import BadParam
-from gspurify.graphs import GraphKind, standard_graph
+from gspurify.errors import BadParam, ZeroSuccess
+from gspurify.graphs import GraphKind, build_graph, relabeled, standard_graph
 from gspurify.protocol import (
     ConvMode,
     Protocol,
     StopRule,
     Verdict,
+    a_support_steps,
     iterate,
     p1_step,
     p2_step,
@@ -15,7 +18,9 @@ from gspurify.protocol import (
     xor_square_over_b,
 )
 from gspurify.states import (
+    ASupportState,
     GDState,
+    bitflip_b_noise,
     prepared_with_channel_noise,
     pure_target,
     rho_a_family,
@@ -211,3 +216,79 @@ def test_non_finite_acceptance_rejected(path4):
     for mode in ConvMode:
         with pytest.raises(BadParam, match="not finite"):
             p1_step(s, mode=mode)
+
+
+@st.composite
+def connected_bipartite_graphs(draw):
+    """A random tree on 2..7 vertices plus random extra edges between its
+    two colour classes."""
+    n = draw(st.integers(2, 7))
+    parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    depth = [0]
+    for p in parent:
+        depth.append(depth[p] + 1)
+    edges = {(p, v) for v, p in enumerate(parent, start=1)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (depth[u] + depth[v]) % 2 and (u, v) not in edges and draw(st.booleans()):
+                edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
+def a_support_states(g):
+    weights = st.lists(st.floats(0.0, 1.0), min_size=1 << g.n_a, max_size=1 << g.n_a)
+    return weights.filter(lambda w: sum(w) > 0.1).map(
+        lambda w: ASupportState(g, np.array(w) / sum(w)))
+
+
+def _round(g, s, p):
+    ((_, step),) = a_support_steps(g, p)
+    return step(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_support_round_matches_full_space(data):
+    g = data.draw(connected_bipartite_graphs())
+    s = data.draw(a_support_states(g))
+    p = data.draw(st.floats(0.0, 1.0))
+    got = _round(g, s, p)
+    want = p1_step(bitflip_b_noise(s.embedded(), p))
+    assert np.abs(got.state.embedded().lam - want.state.lam).max() <= 1e-15
+    assert abs(got.p_succ - want.p_succ) <= 1e-15
+    assert abs(got.state.lam.sum() - 1.0) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_support_round_covariant_under_relabeling(data):
+    g = data.draw(connected_bipartite_graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabeled(g, perm)
+    # BFS roots each component at its smallest vertex, so a relabeling may
+    # swap the colour classes; only colour-preserving ones map the model
+    # onto itself.
+    assume(h.a_vertices == frozenset(perm[v] for v in g.a_vertices))
+    s = data.draw(a_support_states(g))
+    p = data.draw(st.floats(0.0, 1.0))
+    moved = [sum(1 << perm[v] for v in range(g.n) if int(m) >> v & 1) for m in spread_submasks(g.a_mask)]
+    to_h = np.searchsorted(spread_submasks(h.a_mask), moved)
+    lam_h = np.empty_like(s.lam)
+    lam_h[to_h] = s.lam
+    got_g = _round(g, s, p)
+    got_h = _round(h, ASupportState(h, lam_h), p)
+    assert np.abs(got_h.state.lam[to_h] - got_g.state.lam).max() <= 1e-15
+    assert abs(got_h.p_succ - got_g.p_succ) <= 1e-15
+
+
+def test_a_support_step_checks(ring4):
+    with pytest.raises(BadParam):
+        a_support_steps(ring4, 1.2)
+    with pytest.raises(BadParam, match="shape"):
+        ASupportState(ring4, np.full(3, 1.0 / 3.0))
+    ((label, step),) = a_support_steps(ring4, 0.9)
+    assert label == "P1"
+    with pytest.raises(BadParam, match="not finite"):
+        step(ASupportState(ring4, np.array([np.nan, 0.0, 0.0, 1.0])))
+    with pytest.raises(ZeroSuccess):
+        step(ASupportState(ring4, np.zeros(4)))

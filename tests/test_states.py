@@ -15,6 +15,7 @@ from gspurify.states import (
     prepared_with_channel_noise,
     pure_target,
     rho_a_family,
+    rho_a_support,
     uniform_state,
 )
 
@@ -199,3 +200,32 @@ def test_csv_dump(ghz3):
     assert lines[0] == "index,a_part,b_part,lambda"
     assert lines[1].startswith("0,0,0,")
     assert len(lines) == 3  # header + two nonzero rows
+
+
+@pytest.mark.parametrize("kind,n", [(GraphKind.GHZ, 4), (GraphKind.LINEAR_CLUSTER, 5),
+                                    (GraphKind.CLOSED_CLUSTER, 6)])
+def test_multi_vertex_channels_match_per_vertex_chain(kind, n, rng):
+    # The raw-vector loops must give the same bits as one validated
+    # GDState per vertex.
+    g = standard_graph(kind, n)
+    lam = rng.random(g.dim)
+    s = GDState(g, lam / lam.sum())
+    for p in (1.0, 0.7):
+        flip = (1.0 - p) / 2.0
+        chain = s
+        for v in sorted(g.b_vertices):
+            chain = apply_pauli_channel(chain, v, (1.0 - flip, flip, 0.0, 0.0))
+        assert np.array_equal(bitflip_b_noise(s, p).lam, chain.lam)
+    for q in (1.0, 0.8, 0.0):
+        chain = pure_target(g)
+        for v in range(g.n):
+            chain = depolarizing_channel(chain, v, q)
+        assert np.array_equal(prepared_with_channel_noise(g, q).lam, chain.lam)
+
+
+def test_rho_a_support_embeds_to_family(ring4):
+    s = rho_a_support(ring4, 0.7)
+    assert s.lam.shape == (4,) and s.fidelity == 0.7
+    assert np.array_equal(s.embedded().lam, rho_a_family(ring4, 0.7).lam)
+    with pytest.raises(BadParam):
+        rho_a_support(ring4, 1.5)
