@@ -138,11 +138,10 @@ def _parse_schedule(text: str) -> tuple[Protocol, ...]:
 
 def _resolve_graph(sc: Scenario) -> Graph:
     """The scenario's graph, refused with TooLarge beyond MAX_QUBITS vertices
-    before anything of size 2^N is allocated."""
+    before anything of size 2^N is allocated (graph files by their parser)."""
     if sc.graph == "file":
-        g = load_graph(sc.graph_file)
-        dims = (g.n,)
-    elif sc.graph == "grid":
+        return load_graph(sc.graph_file)
+    if sc.graph == "grid":
         rows = sc.rows if sc.rows is not None else 2
         cols = sc.cols
         if cols is None:
@@ -155,7 +154,7 @@ def _resolve_graph(sc: Scenario) -> Graph:
     n = math.prod(dims)
     if n > MAX_QUBITS:
         raise TooLarge(f"{n} vertices exceed the limit of {MAX_QUBITS}: a state holds 2^N coefficients")
-    return g if sc.graph == "file" else standard_graph_by_name(sc.graph, *dims)
+    return standard_graph_by_name(sc.graph, *dims)
 
 
 def _graph_label(sc: Scenario) -> str:

@@ -319,7 +319,8 @@ def trajectory(
     rounds move different coefficient sectors. With whole_periods the budget
     is checked once per period and only period ends are yielded, so whole
     periods run while fewer than r_max rounds have been applied. The caller
-    decides which verdict ends the trajectory.
+    decides which verdict ends the trajectory. s0 may also be an
+    ASupportState stepped by a_support_steps; its graph sets the floor.
     """
     if not steps:
         raise BadParam("schedule must be nonempty")

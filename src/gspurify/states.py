@@ -129,10 +129,11 @@ def _pauli_mix(lam: np.ndarray, p_keep: float, moves) -> np.ndarray:
 
 
 def _vertex_moves(g: Graph, idx: np.ndarray, v: int, p_x: float, p_y: float, p_z: float):
-    """The (p, perm) moves of single-vertex Paulis, without the p == 0 ones."""
-    return tuple((p, idx ^ pauli_flip_mask(g, v, axis))
-                 for p, axis in ((p_x, PauliAxis.X), (p_y, PauliAxis.Y), (p_z, PauliAxis.Z))
-                 if p != 0.0)
+    """The (p, perm) moves of single-vertex Paulis, without the p == 0 ones.
+    A generator, so that only one 2^n index permutation is built at a time."""
+    return ((p, idx ^ pauli_flip_mask(g, v, axis))
+            for p, axis in ((p_x, PauliAxis.X), (p_y, PauliAxis.Y), (p_z, PauliAxis.Z))
+            if p != 0.0)
 
 
 def apply_pauli_channel(s: GDState, v: int, probs) -> GDState:
