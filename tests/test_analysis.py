@@ -109,7 +109,8 @@ def test_p_min_family_validation(path4):
 ])
 def test_restricted_p_min_reaches_large_rings(n, value, rounds_used):
     # The restricted search steps a 2^(n/2) A-support vector, so rings whose
-    # full 2^n state would not fit a search run in well under a second.
+    # search in the full 2^n space takes minutes (an hour or so at n = 24)
+    # run in under a second.
     g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
     report = threshold_report(g, "ring", Family.RESTRICTED_BITFLIP, "pmin")
     assert report.value == pytest.approx(value, abs=1e-12)
