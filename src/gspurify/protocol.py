@@ -264,6 +264,7 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
     if not 0.0 <= p <= 1.0:
         raise BadParam(f"p={p} outside [0,1]")
     flip = (1.0 - p) / 2.0
+    keep = 1.0 - flip
     subs = spread_submasks(g.a_mask)
     ranks = np.arange(len(subs))
     # An X on B-vertex v moves rank r to r ^ rank(neighbor_mask[v]).
@@ -273,7 +274,7 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
     def step(s: ASupportState) -> StepResult:
         lam = s.lam
         for move in moves:
-            lam = _pauli_mix(lam, 1.0 - flip, move)
+            lam = _pauli_mix(lam, keep, move)
         u = lam * lam
         p_succ = _acceptance(u)
         return StepResult(ASupportState(s.graph, u / p_succ), p_succ, Protocol.P1)
