@@ -30,6 +30,7 @@ from .states import (
 )
 
 GAIN_MARGIN = 1e-9  # a member must beat its input fidelity by this much
+P_MIN_GRID = 64  # family members a p_min probe tries at each p
 STALL_EPS = 5e-14  # per-period fidelity change treated as a hard stall
 
 
@@ -67,9 +68,7 @@ class BellDiag:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    graph: str
     family: str
-    param: str
     lo: float
     hi: float
     value: float
@@ -97,7 +96,6 @@ def ra_map_closed_form(f: float, n_a: int) -> float:
 def _fixed_point_full(
     s0: GDState,
     steps: list[tuple[str, StepFn]],
-    r_max: int = 40000,
     meter: _RoundMeter | None = None,
 ) -> tuple[float, GDState]:
     """Stationary fidelity of the schedule map from s0, plus a late state.
@@ -114,7 +112,7 @@ def _fixed_point_full(
     ratio_prev = None
     limit_prev = None
     limit_found = None
-    for rnd in trajectory(s0, steps, r_max, STALL_EPS, meter, whole_periods=True):
+    for rnd in trajectory(s0, steps, 40000, STALL_EPS, meter, whole_periods=True):
         state = rnd.state
         f = state.fidelity
         if rnd.below_floor:
@@ -195,7 +193,6 @@ def _climbs_to(
 def _gains_and_holds(
     s0: GDState,
     steps: list[tuple[str, StepFn]],
-    r_max: int = 4000,
     meter: _RoundMeter | None = None,
 ) -> bool:
     """True when the trajectory from s0 strictly gains fidelity and never
@@ -209,7 +206,7 @@ def _gains_and_holds(
     f0 = s0.fidelity
     prev = f0
     declines = 0
-    for rnd in trajectory(s0, steps, r_max, STALL_EPS, meter, whole_periods=True):
+    for rnd in trajectory(s0, steps, 6000, STALL_EPS, meter, whole_periods=True):
         f = rnd.state.fidelity
         if rnd.below_floor or f < f0 - 1e-12:
             return False
@@ -226,7 +223,7 @@ def _gains_and_holds(
     return prev >= f0 + GAIN_MARGIN and declines == 0
 
 
-def _target_dominates(state: GDState, ratio: float = 0.5) -> bool:
+def _target_dominates(state: GDState) -> bool:
     """Whether the target coefficient strictly dominates every other one.
 
     The recurrence map's failure plateaus are symmetric mixtures in which
@@ -240,7 +237,7 @@ def _target_dominates(state: GDState, ratio: float = 0.5) -> bool:
     lam = state.lam
     top = float(lam.max())
     second = float(np.partition(lam, -2)[-2])
-    return second <= ratio * top and top == float(lam[0])
+    return second <= 0.5 * top and top == float(lam[0])
 
 
 def _low_biased_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -254,13 +251,7 @@ def _low_biased_grid(lo: float, hi: float, points: int) -> np.ndarray:
 # threshold searches
 
 
-def _bisect(
-    lo: float,
-    hi: float,
-    pred,
-    tol: float,
-    max_iter: int = 60,
-) -> tuple[float, float, float]:
+def _bisect(lo: float, hi: float, pred, tol: float) -> tuple[float, float, float]:
     """Bisection on a boolean predicate over [lo, hi].
 
     Requires the predicate to differ at the bracket ends; re-verifies both
@@ -271,7 +262,7 @@ def _bisect(
     if p_lo == p_hi:
         raise BracketError(f"predicate is {p_lo} at both ends of [{lo}, {hi}]")
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(60):
         if b - a <= 2.0 * tol:
             break
         mid = 0.5 * (a + b)
@@ -360,22 +351,21 @@ def _p_min_bracket(
     g: Graph,
     family: Family,
     tolerance: float,
-    grid_points: int,
     meter: _RoundMeter | None,
 ) -> tuple[float, float, float]:
     if family is Family.RESTRICTED_BITFLIP:
         lo_f = 1.0 / (1 << g.n_a)
-        grid = _low_biased_grid(lo_f, 1.0, grid_points)
+        grid = _low_biased_grid(lo_f, 1.0, P_MIN_GRID)
 
         def pred(p: float) -> bool:
             steps = a_support_steps(g, p)  # the state never leaves B-part 0
             return any(
-                _gains_and_holds(rho_a_support(g, f), steps, r_max=6000, meter=meter)
+                _gains_and_holds(rho_a_support(g, f), steps, meter=meter)
                 for f in grid
             )
 
     elif family is Family.RHO_Q:
-        grid = np.linspace(0.9999, 0.5, grid_points)  # descending: fast members first
+        grid = np.linspace(0.9999, 0.5, P_MIN_GRID)  # descending: fast members first
 
         def pred(p: float) -> bool:
             steps = standard_steps((Protocol.P1, Protocol.P2), p, 0.0)
@@ -403,12 +393,11 @@ def p_min(
     g: Graph,
     family: Family,
     tolerance: float = 1e-4,
-    grid_points: int = 64,
     meter: _RoundMeter | None = None,
 ) -> float:
     """Smallest local-operation quality p for which some family member still
     purifies, by bisection over p in [0.4, 1]."""
-    value, _, _ = _p_min_bracket(g, family, tolerance, grid_points, meter)
+    value, _, _ = _p_min_bracket(g, family, tolerance, meter)
     return value
 
 
@@ -536,38 +525,25 @@ def bepp_bound(g: Graph, p: float) -> float:
 # report-producing wrapper used by the command-line front end
 
 
-def threshold_report(
-    g: Graph,
-    graph_label: str,
-    family: Family,
-    quantity: str,
-    p: float = 1.0,
-    tolerance: float | None = None,
-) -> ThresholdReport:
+def threshold_report(g: Graph, family: Family, quantity: str, p: float = 1.0) -> ThresholdReport:
     meter = _RoundMeter()
     if quantity == "fmin":
-        tol = 1e-6 if tolerance is None else tolerance
+        tol = 1e-6
         value, lo, hi = _f_min_bracket(g, family, p, tol, meter)
-        param = "family-parameter"
     elif quantity == "qmin":
-        tol = 1e-6 if tolerance is None else tolerance
+        tol = 1e-6
         value, lo, hi = _q_min_bracket(g, p, tol, meter)
-        param = "q"
     elif quantity == "pmin":
-        tol = 1e-4 if tolerance is None else tolerance
-        value, lo, hi = _p_min_bracket(g, family, tol, 64, meter)
-        param = "p"
+        tol = 1e-4
+        value, lo, hi = _p_min_bracket(g, family, tol, meter)
     elif quantity == "fmax":
-        tol = 1e-9 if tolerance is None else tolerance
+        tol = 1e-9
         value = f_max(g, p, meter=meter)
         lo, hi = value - tol, value + tol
-        param = "p"
     else:
         raise BadParam(f"unknown quantity {quantity!r}")
     return ThresholdReport(
-        graph=graph_label,
         family=family.value,
-        param=param,
         lo=lo,
         hi=hi,
         value=value,

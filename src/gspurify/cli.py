@@ -157,6 +157,14 @@ def _resolve_graph(sc: Scenario) -> Graph:
     return standard_graph_by_name(sc.graph, *dims)
 
 
+def _refuse_flips(sc: Scenario, command: str) -> None:
+    """The threshold searches and the bipartite comparison model perfect
+    measurements; refuse a flip rate rather than silently drop it."""
+    if sc.f_m != 0.0:
+        raise ParseError(f"{command} does not model measurement flips: "
+                         f"--f-m (scenario f_m) must be 0, got {sc.f_m}")
+
+
 def _graph_label(sc: Scenario) -> str:
     if sc.graph == "file":
         return sc.graph_file or "file"
@@ -237,10 +245,11 @@ def _report_row(label: str, n: int, report, p: float, quantity: str) -> str:
 
 def _cmd_threshold(args) -> int:
     sc = parse_scenario(args)
+    _refuse_flips(sc, "threshold")
     g = _resolve_graph(sc)
     if not sc.quantity:
         raise ParseError("threshold needs --quantity (fmin|qmin|pmin|fmax)")
-    report = threshold_report(g, _graph_label(sc), Family(sc.family), sc.quantity, sc.p)
+    report = threshold_report(g, Family(sc.family), sc.quantity, sc.p)
     _emit(THRESHOLD_HEADER + _report_row(_graph_label(sc), g.n, report, sc.p, sc.quantity), sc.out)
     return EXIT_OK
 
@@ -249,6 +258,7 @@ def _cmd_scan(args) -> int:
     from . import __version__
 
     sc = parse_scenario(args)
+    _refuse_flips(sc, "scan")
     if not sc.quantity:
         raise ParseError("scan needs --quantity (fmin|qmin|pmin|fmax)")
     n_values = _parse_int_grid(sc.n_grid, "n-grid") if sc.n_grid else [sc.n]
@@ -257,7 +267,7 @@ def _cmd_scan(args) -> int:
     rows = [f"# gspurify {__version__} scan\n", THRESHOLD_HEADER]
     for g in graphs:
         for p in p_values:
-            report = threshold_report(g, _graph_label(sc), Family(sc.family), sc.quantity, p)
+            report = threshold_report(g, Family(sc.family), sc.quantity, p)
             rows.append(_report_row(_graph_label(sc), g.n, report, p, sc.quantity))
     _emit("".join(rows), sc.out)
     return EXIT_OK
@@ -265,6 +275,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_compare_bepp(args) -> int:
     sc = parse_scenario(args)
+    _refuse_flips(sc, "compare-bepp")
     g = _resolve_graph(sc)
     p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
     rows = ["p,f_max_mepp,bepp_bound\n"]

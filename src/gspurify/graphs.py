@@ -64,9 +64,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self.neighbor_mask), default=0)
 
-    def describe(self) -> str:
-        return f"n={self.n} m={len(self.edges)} nA={self.n_a} nB={self.n_b}"
-
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Construct a Graph from an edge list, two-coloring it by BFS.

@@ -32,11 +32,6 @@ class Protocol(Enum):
     P2 = "P2"
 
 
-class ConvMode(Enum):
-    FAST = "fast"
-    NAIVE = "naive"
-
-
 class Verdict(Enum):
     CONVERGED = "converged"
     STALLED = "stalled"
@@ -48,7 +43,6 @@ class Verdict(Enum):
 class StepResult:
     state: GDState
     p_succ: float
-    protocol_used: Protocol
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class StopRule:
     r_max: int = 200
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # a trajectory runs at one p; 2^n doubles per entry
 def _depolarize_multiplier(g: Graph, q: float) -> np.ndarray:
     """Transform-domain multiplier of one depolarizing pass over every vertex.
 
@@ -110,27 +104,34 @@ def _depolarize_multiplier(g: Graph, q: float) -> np.ndarray:
     return np.float_power(q, violated)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2)  # P1 and P2 alternate within one trajectory
 def _measure_flip_multiplier(g: Graph, f_m: float, which: Protocol) -> np.ndarray:
-    """Transform-domain multiplier of the recorded-syndrome flip distribution.
-
-    Each measured qubit flips its classical outcome independently with
-    probability f_m; a flip on a checked-set vertex toggles its own syndrome
-    bit, a flip on the other set toggles the syndrome bits of its neighbors.
-    """
-    checked = g.a_vertices if which is Protocol.P1 else g.b_vertices
+    """Transform-domain multiplier of the recorded-syndrome flip distribution:
+    each measured qubit flips its classical outcome independently with
+    probability f_m."""
     mult = np.ones(g.dim)
-    for v in range(g.n):
-        mask = (1 << v) if v in checked else g.neighbor_mask[v]
+    for mask in _outcome_flip_masks(g, which):
         mult *= (1.0 - f_m) + f_m * sign_lookup(g.n, mask)
     return mult
 
 
-def _xor_square(lam: np.ndarray, n: int, conv_mask: int, mode: ConvMode) -> np.ndarray:
-    if mode is ConvMode.FAST:
-        spectrum = wht_bits(lam, n, conv_mask)
-        return wht_bits(spectrum * spectrum, n, conv_mask, inverse=True)
-    return _xor_cross_naive(lam, lam, n, conv_mask)
+def _outcome_flip_masks(g: Graph, which: Protocol) -> list[int]:
+    """Per vertex, the syndrome bits that flipping its recorded outcome
+    toggles: a flip on a checked-set vertex toggles its own syndrome bit, a
+    flip on the other set toggles the syndrome bits of its neighbors."""
+    checked = g.a_vertices if which is Protocol.P1 else g.b_vertices
+    return [(1 << v) if v in checked else g.neighbor_mask[v] for v in range(g.n)]
+
+
+def _coincidence_mask(g: Graph, which: Protocol) -> int:
+    """The syndrome bits a round compares between the copies; it convolves
+    over the others."""
+    return g.a_mask if which is Protocol.P1 else g.b_mask
+
+
+def _xor_square(lam: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
+    spectrum = wht_bits(lam, n, conv_mask)
+    return wht_bits(spectrum * spectrum, n, conv_mask, inverse=True)
 
 
 def _xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
@@ -150,58 +151,68 @@ def _xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np
     return out
 
 
-def xor_square_over_b(lam: np.ndarray, g: Graph, mode: ConvMode = ConvMode.FAST) -> np.ndarray:
+def xor_square_over_b(lam: np.ndarray, g: Graph) -> np.ndarray:
     """Unnormalized coefficient update of a perfect information-extraction
     round: XOR self-convolution over the B bits at fixed A-part."""
     if lam.shape != (g.dim,):
         raise BadParam(f"vector length {lam.shape} does not match n={g.n}")
-    return _xor_square(np.asarray(lam, dtype=np.float64), g.n, g.b_mask, mode)
+    return _xor_square(np.asarray(lam, dtype=np.float64), g.n, g.b_mask)
 
 
-def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, mode: ConvMode) -> StepResult:
+def _check_noise(p: float, f_m: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise BadParam(f"gate parameter p={p} outside [0,1]")
     if not 0.0 <= f_m <= 0.5:
         raise BadParam(f"measurement flip probability f_m={f_m} outside [0,1/2]")
-    g = s.graph
-    n = g.n
-    conv_mask = g.b_mask if which is Protocol.P1 else g.a_mask
-    coin_mask = g.a_mask if which is Protocol.P1 else g.b_mask
 
-    if mode is ConvMode.NAIVE:
-        lam = _depolarize_all(g, s.lam, p) if p < 1.0 else s.lam
-        if f_m == 0.0:
-            u = _xor_square(lam, n, conv_mask, mode)
-        else:
-            u = np.zeros_like(lam)
-            idx = np.arange(g.dim)
-            for a, w in _flip_weights_by_pattern(g, f_m, which):
-                if w == 0.0:
-                    continue
-                u += w * _xor_cross_naive(lam, lam[idx ^ a], n, conv_mask)
-    else:
-        full_mask = g.dim - 1
-        if p < 1.0 or f_m > 0.0:
-            spectrum = wht_bits(s.lam, n, full_mask)
-            if p < 1.0:
-                spectrum *= _depolarize_multiplier(g, p)
-            conv_side = wht_bits(spectrum, n, coin_mask, inverse=True)
-            if f_m > 0.0:
-                partner = wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which),
-                                   n, coin_mask, inverse=True)
-            else:
-                partner = conv_side
-            u = wht_bits(conv_side * partner, n, conv_mask, inverse=True)
-        else:
-            u = _xor_square(s.lam, n, conv_mask, mode)
 
+def _round_result(g: Graph, u: np.ndarray) -> StepResult:
+    """The tail every P1/P2 round shares: a finite, non-vanishing acceptance,
+    the roundoff floor on the unnormalized output u, and normalisation."""
     p_succ = _acceptance(u)
     floor = -REL_NEG_TOL * max(float(u.max()), 1e-30)
     low = float(u.min())
     if low < floor:
         raise BadParam(f"unnormalized output coefficient {low} below roundoff floor")
     np.maximum(u, 0.0, out=u)
-    return StepResult(GDState(g, u / p_succ), p_succ, which)
+    return StepResult(GDState(g, u / p_succ), p_succ)
+
+
+def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepResult:
+    """One round in the transform domain, where gate noise and outcome flips
+    are pointwise multipliers."""
+    _check_noise(p, f_m)
+    g = s.graph
+    n = g.n
+    coin_mask = _coincidence_mask(g, which)
+    conv_mask = coin_mask ^ (g.dim - 1)
+    if p == 1.0 and f_m == 0.0:
+        return _round_result(g, _xor_square(s.lam, n, conv_mask))
+    spectrum = wht_bits(s.lam, n, g.dim - 1)
+    if p < 1.0:
+        spectrum *= _depolarize_multiplier(g, p)
+    conv_side = wht_bits(spectrum, n, coin_mask, inverse=True)
+    partner = conv_side
+    if f_m > 0.0:
+        partner = wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), n, coin_mask, inverse=True)
+    return _round_result(g, wht_bits(conv_side * partner, n, conv_mask, inverse=True))
+
+
+def _reference_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepResult:
+    """The direct-sum round that tests compare p1_step and p2_step against:
+    depolarizing by index shuffles, then one XOR cross-convolution per
+    recorded flip pattern."""
+    _check_noise(p, f_m)
+    g = s.graph
+    conv_mask = _coincidence_mask(g, which) ^ (g.dim - 1)
+    lam = _depolarize_all(g, s.lam, p) if p < 1.0 else s.lam
+    u = np.zeros_like(lam)
+    idx = np.arange(g.dim)
+    for a, w in _flip_weights_by_pattern(g, f_m, which):
+        if w == 0.0:
+            continue
+        u += w * _xor_cross_naive(lam, lam[idx ^ a], g.n, conv_mask)
+    return _round_result(g, u)
 
 
 def _acceptance(u: np.ndarray) -> float:
@@ -216,21 +227,18 @@ def _acceptance(u: np.ndarray) -> float:
 
 
 def _flip_weights_by_pattern(g: Graph, f_m: float, which: Protocol):
-    """Explicit (syndrome pattern, weight) pairs for the NAIVE noisy path,
+    """Explicit (syndrome pattern, weight) pairs for the reference round,
     composed by convolving the per-vertex flip kernels directly."""
-    checked = g.a_vertices if which is Protocol.P1 else g.b_vertices
-    coin_mask = g.a_mask if which is Protocol.P1 else g.b_mask
     w = np.zeros(g.dim)
     w[0] = 1.0
     idx = np.arange(g.dim)
-    for v in range(g.n):
-        mask = (1 << v) if v in checked else g.neighbor_mask[v]
+    for mask in _outcome_flip_masks(g, which):
         w = (1.0 - f_m) * w + f_m * w[idx ^ mask]
-    for a in spread_submasks(coin_mask):
+    for a in spread_submasks(_coincidence_mask(g, which)):
         yield int(a), float(w[a])
 
 
-def p1_step(s: GDState, p: float = 1.0, f_m: float = 0.0, mode: ConvMode = ConvMode.FAST) -> StepResult:
+def p1_step(s: GDState, p: float = 1.0, f_m: float = 0.0) -> StepResult:
     """One round of the A-information protocol on two identical copies.
 
     Returns the normalized surviving state and the acceptance probability.
@@ -239,13 +247,13 @@ def p1_step(s: GDState, p: float = 1.0, f_m: float = 0.0, mode: ConvMode = ConvM
     pass of strength p_m right before a measurement acts the same way with
     f_m = (1 - p_m) / 2).
     """
-    return _protocol_step(s, Protocol.P1, p, f_m, mode)
+    return _protocol_step(s, Protocol.P1, p, f_m)
 
 
-def p2_step(s: GDState, p: float = 1.0, f_m: float = 0.0, mode: ConvMode = ConvMode.FAST) -> StepResult:
+def p2_step(s: GDState, p: float = 1.0, f_m: float = 0.0) -> StepResult:
     """The mirror round: information about the B syndromes is extracted, with
     the roles of the two color classes interchanged."""
-    return _protocol_step(s, Protocol.P2, p, f_m, mode)
+    return _protocol_step(s, Protocol.P2, p, f_m)
 
 
 StepFn = Callable[[GDState], StepResult]
@@ -277,7 +285,7 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
             lam = _pauli_mix(lam, keep, move)
         u = lam * lam
         p_succ = _acceptance(u)
-        return StepResult(ASupportState(s.graph, u / p_succ), p_succ, Protocol.P1)
+        return StepResult(ASupportState(s.graph, u / p_succ), p_succ)
 
     return [(Protocol.P1.value, step)]
 

@@ -55,17 +55,6 @@ class GDState:
     def fidelity(self) -> float:
         return float(self.lam[0])
 
-    def normalized(self) -> "GDState":
-        total = self.lam.sum()
-        if total <= 0.0:
-            raise BadParam("cannot normalize a zero state")
-        return GDState(self.graph, self.lam / total)
-
-    def check_normalized(self) -> None:
-        total = self.lam.sum()
-        if abs(total - 1.0) > NORM_TOL:
-            raise BadParam(f"coefficients sum to {total}, not 1")
-
     def to_csv(self) -> str:
         """Nonzero coefficients as CSV rows: index, a_part, b_part, lambda."""
         buf = io.StringIO()

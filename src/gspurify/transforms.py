@@ -32,17 +32,12 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
     if vec.shape != (1 << n,):
         raise ValueError(f"vector length {vec.shape} does not match n={n}")
     out = np.array(vec, dtype=np.float64, copy=True)
-    view = out.reshape((2,) * n) if n > 0 else out
     for b in bit_positions(mask):
-        ax = n - 1 - b  # C-order reshape puts bit 0 on the last axis
-        lo = view.take(0, axis=ax)
-        hi = view.take(1, axis=ax)
-        s = lo + hi
-        d = lo - hi
-        idx_lo = tuple(slice(None) if i != ax else 0 for i in range(n))
-        idx_hi = tuple(slice(None) if i != ax else 1 for i in range(n))
-        view[idx_lo] = s
-        view[idx_hi] = d
+        pairs = out.reshape(-1, 2, 1 << b)  # [higher bits, bit b, lower bits]
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
     if inverse:
         out /= 1 << mask.bit_count()
     return out

@@ -24,7 +24,7 @@ from gspurify.analysis import (
     restricted_gain_region,
 )
 from gspurify.graphs import GraphKind, standard_graph
-from gspurify.protocol import ConvMode, p1_step, xor_square_over_b
+from gspurify.protocol import _xor_cross_naive, p1_step, xor_square_over_b
 from gspurify.selfcheck import run_equivalence_suite
 from gspurify.states import prepared_with_channel_noise, rho_a_family
 
@@ -203,8 +203,8 @@ def test_criterion_09_performance():
             for _ in range(8):
                 lam = rng.random(g.dim)
                 lam /= lam.sum()  # the op's domain: state coefficient vectors
-                fast = xor_square_over_b(lam, g, ConvMode.FAST)
-                naive = xor_square_over_b(lam, g, ConvMode.NAIVE)
+                fast = xor_square_over_b(lam, g)
+                naive = _xor_cross_naive(lam, lam, g.n, g.b_mask)
                 worst = max(worst, float(np.abs(fast - naive).max()))
     agree_ok = worst <= 1e-12
 

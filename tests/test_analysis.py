@@ -19,7 +19,7 @@ from gspurify.analysis import (
 )
 from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam
 from gspurify.graphs import GraphKind, standard_graph
-from gspurify.protocol import p1_step
+from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, p1_step
 from gspurify.states import rho_a_family
 
 
@@ -112,9 +112,18 @@ def test_restricted_p_min_reaches_large_rings(n, value, rounds_used):
     # search in the full 2^n space takes minutes (an hour or so at n = 24)
     # run in under a second.
     g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
-    report = threshold_report(g, "ring", Family.RESTRICTED_BITFLIP, "pmin")
+    report = threshold_report(g, Family.RESTRICTED_BITFLIP, "pmin")
     assert report.value == pytest.approx(value, abs=1e-12)
     assert report.rounds_used == rounds_used
+
+
+def test_multiplier_caches_hold_one_trajectory(path4):
+    # An entry holds 2^N doubles and a sweep moves on to a new p, so the
+    # caches keep only the current p (and the P1/P2 pair of flip multipliers).
+    for p in (0.96, 0.97, 0.98, 0.99, 0.995):
+        f_max(path4, p, f_m=0.01)
+    assert _depolarize_multiplier.cache_info().currsize <= 1
+    assert _measure_flip_multiplier.cache_info().currsize <= 2
 
 
 def test_restricted_gain_region_examples():
@@ -207,7 +216,7 @@ def test_bepp_bound(path4):
         "ghz3-rho-a-fmin", "ring6-restricted-pmin", "ring12-restricted-pmin"])
 def test_threshold_report_invariants(kind, n, family, quantity, p, want):
     g = standard_graph(kind, n)
-    report = threshold_report(g, kind.value, family, quantity, p)
+    report = threshold_report(g, family, quantity, p)
     assert isinstance(report, ThresholdReport)
     assert report.lo < report.value < report.hi
     assert report.hi - report.lo <= 2 * report.tolerance + 1e-12
@@ -215,4 +224,4 @@ def test_threshold_report_invariants(kind, n, family, quantity, p, want):
     assert report.rounds_used == rounds_used
     assert (report.value, report.lo, report.hi) == pytest.approx((value, lo, hi), abs=1e-12)
     with pytest.raises(BadParam):
-        threshold_report(g, kind.value, family, "bogus", p)
+        threshold_report(g, family, "bogus", p)

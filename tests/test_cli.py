@@ -188,6 +188,25 @@ def test_bad_input_exits_usage(capsys, tmp_path, argv):
     assert err.startswith("gspurify: ")
 
 
+@pytest.mark.parametrize("command", [
+    ("threshold", "--quantity", "fmax"),
+    ("scan", "--quantity", "fmax"),
+    ("compare-bepp",),
+], ids=["threshold", "scan", "compare-bepp"])
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_measurement_flips_refused_outside_purify(capsys, tmp_path, command, source):
+    # These commands model perfect measurements; a flip rate must not be
+    # dropped silently.
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps({"graph": "path", "n": 4, "p": 0.97, "f_m": 0.05}))
+    given = ("--f-m", "0.05") if source == "flag" else ("--scenario", str(scenario))
+    code, out, err = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", *given)
+    assert code == EXIT_USAGE
+    assert out == "" and "--f-m" in err
+    code, out, _ = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", "--f-m", "0")
+    assert code == EXIT_OK and out
+
+
 def test_huge_graph_file_header_exits_at_once(capsys, tmp_path):
     gf = tmp_path / "huge.txt"
     gf.write_text("10000000 0\n")

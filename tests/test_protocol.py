@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from gspurify.errors import BadParam, ZeroSuccess
 from gspurify.graphs import GraphKind, build_graph, relabeled, standard_graph
 from gspurify.protocol import (
-    ConvMode,
     Protocol,
     StopRule,
     Verdict,
+    _reference_step,
+    _xor_cross_naive,
     a_support_steps,
     iterate,
     p1_step,
@@ -93,17 +94,17 @@ def test_fast_equals_naive(kind, n, rng):
     for _ in range(10):
         lam = rng.random(g.dim)
         lam /= lam.sum()
-        fast = xor_square_over_b(lam, g, ConvMode.FAST)
-        naive = xor_square_over_b(lam, g, ConvMode.NAIVE)
+        fast = xor_square_over_b(lam, g)
+        naive = _xor_cross_naive(lam, lam, g.n, g.b_mask)
         assert np.abs(fast - naive).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,f_m", [(1.0, 0.0), (0.93, 0.0), (1.0, 0.03), (0.95, 0.02)])
 def test_step_modes_agree_end_to_end(path4, rng, p, f_m):
     s = random_state(path4, rng)
-    for step in (p1_step, p2_step):
-        fast = step(s, p, f_m, ConvMode.FAST)
-        naive = step(s, p, f_m, ConvMode.NAIVE)
+    for step, which in ((p1_step, Protocol.P1), (p2_step, Protocol.P2)):
+        fast = step(s, p, f_m)
+        naive = _reference_step(s, which, p, f_m)
         assert np.abs(fast.state.lam - naive.state.lam).max() < 1e-12
         assert fast.p_succ == pytest.approx(naive.p_succ, abs=1e-12)
 
@@ -213,9 +214,9 @@ def test_non_finite_acceptance_rejected(path4):
     lam = s.lam.copy()
     lam[3] = np.nan
     object.__setattr__(s, "lam", lam)
-    for mode in ConvMode:
+    for step in (p1_step, lambda s: _reference_step(s, Protocol.P1, 1.0, 0.0)):
         with pytest.raises(BadParam, match="not finite"):
-            p1_step(s, mode=mode)
+            step(s)
 
 
 @st.composite
@@ -233,6 +234,29 @@ def connected_bipartite_graphs(draw):
             if (depth[u] + depth[v]) % 2 and (u, v) not in edges and draw(st.booleans()):
                 edges.add((u, v))
     return build_graph(n, sorted(edges))
+
+
+def gd_states(g):
+    weights = st.lists(st.floats(0.0, 1.0), min_size=g.dim, max_size=g.dim)
+    return weights.filter(lambda w: sum(w) > 0.1).map(lambda w: GDState(g, np.array(w) / sum(w)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_transform_round_matches_reference(data):
+    # The multiplier path (gate noise and outcome flips as transform-domain
+    # factors) against index shuffles and direct sums over flip patterns.
+    g = data.draw(connected_bipartite_graphs())
+    s = data.draw(gd_states(g))
+    p = data.draw(st.floats(0.5, 1.0))
+    f_m = data.draw(st.floats(0.0, 0.5))
+    for step, which in ((p1_step, Protocol.P1), (p2_step, Protocol.P2)):
+        got = step(s, p, f_m)
+        want = _reference_step(s, which, p, f_m)
+        assert np.abs(got.state.lam - want.state.lam).max() <= 1e-12
+        assert abs(got.p_succ - want.p_succ) <= 1e-12
+        for res in (got, want):
+            assert abs(res.state.lam.sum() - 1.0) <= 1e-12
 
 
 def a_support_states(g):
