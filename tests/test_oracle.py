@@ -105,3 +105,62 @@ def test_dense_state_validation(path4, rng):
     bad = oracle.DenseState(4, np.eye(16, dtype=np.complex128))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def _reference_two_copy_round(rho1, rho2, g, p, f_m, which):
+    """The two-copy circuit the long way: noise on all 2n qubits of the joint
+    matrix, the CNOT layer, then one contraction per copy-2 outcome against
+    its product measurement vector, weighted by the chance that outcome
+    flips leave the recorded syndrome at zero."""
+    n, dim = g.n, g.dim
+    joint = np.kron(rho2, rho1).astype(np.complex128)  # copy 2 on high bits
+    for qubit in range(2 * n):
+        joint = oracle.dense_depolarizing(joint, 2 * n, qubit, p)
+    f = oracle.cnot_layer_indexmap(g, which)
+    tens = joint[f][:, f].reshape(dim, dim, dim, dim)
+    x_set = g.a_vertices if which == "P1" else g.b_vertices
+
+    def syndrome(z):
+        return sum((((z >> j) ^ (z & g.neighbor_mask[j]).bit_count()) & 1) << j for j in x_set)
+
+    def flip_chance(e):
+        k = e.bit_count()
+        return f_m**k * (1.0 - f_m) ** (n - k)
+
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for z in range(dim):
+        weight = sum(flip_chance(e) for e in range(dim) if syndrome(e) == syndrome(z))
+        phi = np.ones(1)
+        for v in reversed(range(n)):  # qubit n-1 on the highest bit
+            bit = (z >> v) & 1
+            one = np.array([1.0, -1.0 if bit else 1.0]) / np.sqrt(2.0) if v in x_set else np.eye(2)[bit]
+            phi = np.kron(phi, one)
+        acc += weight * np.einsum("aibj,a,b->ij", tens, phi, phi)
+    p_succ = np.trace(acc).real
+    psi = oracle.graph_state_vector(g)
+    idx = np.arange(dim)
+    basis = np.array([[(-1) ** (i & m).bit_count() * psi[i] for m in idx] for i in idx])
+    lam = np.einsum("im,ij,jm->m", basis, acc / p_succ, basis).real
+    return lam, p_succ
+
+
+@pytest.mark.parametrize("which", ["P1", "P2"])
+@pytest.mark.parametrize("edges", [
+    (2, [(0, 1)]),
+    (3, [(0, 1), (0, 2)]),
+    (3, [(0, 1), (1, 2)]),
+], ids=["edge", "ghz3", "path3"])
+def test_dense_step_with_copies_that_differ(edges, which):
+    g = build_graph(*edges)
+    rng = np.random.default_rng(11)
+    lam1, lam2 = rng.random(g.dim), rng.random(g.dim)
+    rho1 = oracle.diagonal_dense(g, lam1 / lam1.sum())
+    rho2 = oracle.diagonal_dense(g, lam2 / lam2.sum())
+    for p, f_m in ((0.9, 0.05), (0.7, 0.2)):
+        got, ps = oracle.dense_protocol_step(rho1, rho2, g, p, f_m, which)
+        want, ps_want = _reference_two_copy_round(rho1, rho2, g, p, f_m, which)
+        assert np.abs(got - want).max() <= 1e-12
+        assert abs(ps - ps_want) <= 1e-12
+        # the copies play different roles, so swapping them is visible
+        swapped, _ = _reference_two_copy_round(rho2, rho1, g, p, f_m, which)
+        assert np.abs(swapped - want).max() > 1e-3
