@@ -157,12 +157,20 @@ def _resolve_graph(sc: Scenario) -> Graph:
     return standard_graph_by_name(sc.graph, *dims)
 
 
-def _refuse_flips(sc: Scenario, command: str) -> None:
-    """The threshold searches and the bipartite comparison model perfect
-    measurements; refuse a flip rate rather than silently drop it."""
-    if sc.f_m != 0.0:
-        raise ParseError(f"{command} does not model measurement flips: "
-                         f"--f-m (scenario f_m) must be 0, got {sc.f_m}")
+# Scenario fields that threshold, scan and compare-bepp do not read: their
+# searches fix their own schedules, stop rules and input states and model
+# perfect measurements. (No command reads `seed`; oracle-check has its own.)
+UNUSED_BY_SEARCHES = ("f_m", "schedule", "r_max", "eps", "tol", "param", "seed")
+
+
+def _refuse_unused(sc: Scenario, command: str) -> None:
+    """Refuse an unused field set away from its default rather than silently
+    ignore it."""
+    default = Scenario()
+    for key in UNUSED_BY_SEARCHES:
+        if getattr(sc, key) != getattr(default, key):
+            raise ParseError(f"{command} does not use --{key.replace('_', '-')} (scenario {key}): "
+                             f"it must stay at {getattr(default, key)!r}, got {getattr(sc, key)!r}")
 
 
 def _graph_label(sc: Scenario) -> str:
@@ -245,7 +253,7 @@ def _report_row(label: str, n: int, report, p: float, quantity: str) -> str:
 
 def _cmd_threshold(args) -> int:
     sc = parse_scenario(args)
-    _refuse_flips(sc, "threshold")
+    _refuse_unused(sc, "threshold")
     g = _resolve_graph(sc)
     if not sc.quantity:
         raise ParseError("threshold needs --quantity (fmin|qmin|pmin|fmax)")
@@ -258,7 +266,7 @@ def _cmd_scan(args) -> int:
     from . import __version__
 
     sc = parse_scenario(args)
-    _refuse_flips(sc, "scan")
+    _refuse_unused(sc, "scan")
     if not sc.quantity:
         raise ParseError("scan needs --quantity (fmin|qmin|pmin|fmax)")
     n_values = _parse_int_grid(sc.n_grid, "n-grid") if sc.n_grid else [sc.n]
@@ -275,7 +283,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_compare_bepp(args) -> int:
     sc = parse_scenario(args)
-    _refuse_flips(sc, "compare-bepp")
+    _refuse_unused(sc, "compare-bepp")
     g = _resolve_graph(sc)
     p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
     rows = ["p,f_max_mepp,bepp_bound\n"]

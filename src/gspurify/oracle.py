@@ -1,7 +1,8 @@
 """Dense density-matrix brute force for small systems.
 
-Everything here works on full 2^m x 2^m complex matrices and enumerates
-measurement branches exhaustively, so it is exponentially slow but exact.
+Everything here works on full 2^m x 2^m matrices (float64 for real input,
+complex128 only when the caller passes complex) and sums over every
+measurement branch, so it is exponentially slow but exact.
 It exists to certify the coefficient-level fast path: single copies up to
 6 qubits, two-copy protocol circuits up to 4+4 qubits.
 
@@ -13,6 +14,7 @@ copy 2 bits n..2n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,20 +83,34 @@ def graph_state_vector_projected(g: Graph) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _real(x: np.ndarray, what: str) -> np.ndarray:
+    """x itself when real; the real part of a complex x only when its
+    imaginary part is roundoff, else ValueError."""
+    if not np.iscomplexobj(x):
+        return x
+    imag = float(np.abs(np.imag(x)).max(initial=0.0))
+    if imag > HERM_TOL:
+        raise ValueError(f"{what} has an imaginary part of {imag:.3e}: the matrix is not Hermitian")
+    return np.real(x)
+
+
 def dense_graph_state(g: Graph) -> DenseState:
     psi = graph_state_vector(g)
-    return DenseState(g.n, np.outer(psi, psi.conj()).astype(np.complex128))
+    return DenseState(g.n, np.outer(psi, psi))
 
 
+@lru_cache(maxsize=16)
 def graph_basis_matrix(g: Graph) -> np.ndarray:
-    """Columns are the 2^n graph-basis states; column m applies Z^m to the target."""
-    psi = graph_state_vector(g)
-    idx = np.arange(g.dim, dtype=np.uint64)
-    cols = np.empty((g.dim, g.dim))
-    for m in range(g.dim):
-        par = (np.bitwise_count(idx & np.uint64(m)) & np.uint64(1)).astype(np.float64)
-        cols[:, m] = (1.0 - 2.0 * par) * psi
-    return cols
+    """Columns are the 2^n graph-basis states; column m applies Z^m to the
+    target. Cached per graph and read-only."""
+    if g.n > MAX_MATRIX_QUBITS:
+        raise TooLarge(f"n={g.n} exceeds matrix limit {MAX_MATRIX_QUBITS}")
+    psi = graph_state_vector(g)[:, None]
+    idx = np.arange(g.dim)
+    odd = (np.bitwise_count(idx[:, None] & idx) & 1).astype(bool)  # parity of i & m
+    basis = np.where(odd, -psi, psi)
+    basis.setflags(write=False)
+    return basis
 
 
 def graph_basis_twirl(rho: np.ndarray, g: Graph) -> np.ndarray:
@@ -103,8 +119,7 @@ def graph_basis_twirl(rho: np.ndarray, g: Graph) -> np.ndarray:
     if rho.shape != (g.dim, g.dim):
         raise TooLarge(f"matrix shape {rho.shape} does not match n={g.n}")
     basis = graph_basis_matrix(g)
-    diag = np.einsum("im,ij,jm->m", basis.conj(), rho, basis)
-    return np.real(diag)
+    return _real((basis * (rho @ basis)).sum(axis=0), "graph-basis diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +135,12 @@ def dense_pauli_conjugate(rho: np.ndarray, m: int, qubit: int, axis: str) -> np.
     """P rho P^dagger for a single-qubit Pauli P on the given qubit."""
     flip = np.arange(1 << m) ^ (1 << qubit)
     if axis == "X":
-        return rho[flip][:, flip]
+        return apply_indexmap(rho, flip)
     z = _z_signs(m, qubit)
     if axis == "Z":
         return rho * np.outer(z, z)
     if axis == "Y":
-        return rho[flip][:, flip] * np.outer(z, z)
+        return apply_indexmap(rho, flip) * np.outer(z, z)
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -159,7 +174,7 @@ def dense_depolarizing(rho: np.ndarray, m: int, qubit: int, q: float) -> np.ndar
 def dense_cnot(rho: np.ndarray, m: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << m)
     f = idx ^ (((idx >> control) & 1) << target)
-    return rho[f][:, f]
+    return apply_indexmap(rho, f)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +204,8 @@ def cnot_layer_indexmap(g: Graph, which: str) -> np.ndarray:
 
 
 def apply_indexmap(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return rho[f][:, f]
+    """rho[f[i], f[j]] for every (i, j), in one gather."""
+    return rho[np.ix_(f, f)]
 
 
 def two_copy_graph_basis_vector(g: Graph, mu: int, nu: int) -> np.ndarray:
@@ -240,6 +256,20 @@ def _measurement_vector(g: Graph, outcomes: int, which: str) -> np.ndarray:
     return amp
 
 
+@lru_cache(maxsize=32)
+def _accepted_projector_sum(g: Graph, which: str, f_m: float) -> np.ndarray:
+    """M = sum_z w_z |phi_z><phi_z| over the 2^n copy-2 outcomes z: phi_z is
+    the product measurement state of outcome z, and w_z the probability that
+    outcome flips turn z's syndrome into the accepted all-zero record.
+    Cached per (graph, which, f_m) and read-only."""
+    w = _flip_weight_table(g, f_m, which)
+    phis = np.stack([_measurement_vector(g, z, which) for z in range(g.dim)], axis=1)
+    weights = np.array([w[acceptance_syndrome(g, z, which)] for z in range(g.dim)])
+    proj = (phis * weights) @ phis.T
+    proj.setflags(write=False)
+    return proj
+
+
 def dense_protocol_step(
     rho1: np.ndarray,
     rho2: np.ndarray,
@@ -251,9 +281,13 @@ def dense_protocol_step(
     """Run the full two-copy purification circuit densely.
 
     Depolarizes every qubit of both copies with parameter p, applies the
-    transversal CNOT layer, enumerates all 2^n copy-2 measurement outcomes
-    (with independent recorded-outcome flips of probability f_m), keeps the
+    transversal CNOT layer, measures copy 2 in all 2^n outcomes (with
+    independent recorded-outcome flips of probability f_m), keeps the
     zero-syndrome branches, traces out copy 2 and twirls.
+
+    The noise is local and acts before the gates, so each copy is depolarized
+    on its own n qubits before the two are joined. The kept branches are
+    summed in one contraction of copy 2 against their weighted projector sum.
 
     Returns (graph-basis coefficients of the accepted state, acceptance
     probability).
@@ -261,24 +295,14 @@ def dense_protocol_step(
     n = g.n
     if n > MAX_TWOCOPY_QUBITS:
         raise TooLarge(f"n={n} exceeds two-copy limit {MAX_TWOCOPY_QUBITS}")
-    m = 2 * n
-    joint = np.kron(rho2, rho1).astype(np.complex128)  # copy 2 on high bits
     if p < 1.0:
-        for qubit in range(m):
-            joint = dense_depolarizing(joint, m, qubit, p)
-    joint = apply_indexmap(joint, cnot_layer_indexmap(g, which))
-
-    w = _flip_weight_table(g, f_m, which)
+        for qubit in range(n):
+            rho1 = dense_depolarizing(rho1, n, qubit, p)
+            rho2 = dense_depolarizing(rho2, n, qubit, p)
+    joint = apply_indexmap(np.kron(rho2, rho1), cnot_layer_indexmap(g, which))  # copy 2 on high bits
     tens = joint.reshape(g.dim, g.dim, g.dim, g.dim)  # (i2, i1, j2, j1)
-    acc = np.zeros((g.dim, g.dim), dtype=np.complex128)
-    for z in range(g.dim):
-        weight = w[acceptance_syndrome(g, z, which)]
-        if weight == 0.0:
-            continue
-        phi = _measurement_vector(g, z, which)
-        reduced = np.einsum("aibj,a,b->ij", tens, phi, phi)
-        acc += weight * reduced
-    p_succ = float(np.real(np.trace(acc)))
+    acc = np.tensordot(tens, _accepted_projector_sum(g, which, f_m), axes=([0, 2], [0, 1]))
+    p_succ = float(_real(np.trace(acc), "acceptance probability"))
     if p_succ <= 0.0:
         return np.zeros(g.dim), 0.0
     return graph_basis_twirl(acc / p_succ, g), p_succ
@@ -295,4 +319,4 @@ def dense_p2(rho1, rho2, g: Graph, p: float = 1.0, f_m: float = 0.0):
 def diagonal_dense(g: Graph, lam: np.ndarray) -> np.ndarray:
     """Dense matrix of a graph-diagonal state with the given coefficients."""
     basis = graph_basis_matrix(g)
-    return (basis * lam) @ basis.T.astype(np.complex128)
+    return (basis * lam) @ basis.T

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,37 @@ def test_dense_step_with_copies_that_differ(edges, which):
         # the copies play different roles, so swapping them is visible
         swapped, _ = _reference_two_copy_round(rho2, rho1, g, p, f_m, which)
         assert np.abs(swapped - want).max() > 1e-3
+
+
+def _imported_names(tree):
+    """Every module, or module.name, that an import statement names;
+    relative imports resolved inside the gspurify package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "gspurify" + ("." + base if base else "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_oracle_imports_nothing_from_the_fast_path():
+    # The oracle certifies the coefficient-level path, so it must not share
+    # its transforms, states or rounds.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    fast = [name for name in _imported_names(tree)
+            if name.split(".")[:2] in (["gspurify", "protocol"], ["gspurify", "transforms"],
+                                        ["gspurify", "states"])]
+    assert not fast
+
+
+def test_cached_oracle_matrices_are_read_only(ghz3):
+    basis = oracle.graph_basis_matrix(ghz3)
+    proj = oracle._accepted_projector_sum(ghz3, "P1", 0.02)
+    for cached in (basis, proj):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 2.0
+    assert oracle.graph_basis_matrix(ghz3) is basis
+    assert np.abs(basis.T @ basis - np.eye(ghz3.dim)).max() < 1e-12

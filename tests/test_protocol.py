@@ -305,6 +305,30 @@ def test_a_support_round_covariant_under_relabeling(data):
     assert abs(got_h.p_succ - got_g.p_succ) <= 1e-15
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_full_space_rounds_covariant_under_relabeling(data):
+    g = data.draw(connected_bipartite_graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabeled(g, perm)
+    # As for the A-support round: only colour-preserving relabelings map
+    # P1 onto P1 and P2 onto P2.
+    assume(h.a_vertices == frozenset(perm[v] for v in g.a_vertices))
+    s = data.draw(gd_states(g))
+    p = data.draw(st.floats(0.5, 1.0))
+    f_m = data.draw(st.floats(0.0, 0.5))
+    moved = np.array([sum(1 << perm[v] for v in range(g.n) if m >> v & 1) for m in range(g.dim)])
+    lam_h = np.empty_like(s.lam)
+    lam_h[moved] = s.lam
+    # The transforms visit the bits in another order, so roundoff differs.
+    tol = 1e-14
+    for step in (p1_step, p2_step):
+        got_g = step(s, p, f_m)
+        got_h = step(GDState(h, lam_h), p, f_m)
+        assert np.abs(got_h.state.lam[moved] - got_g.state.lam).max() <= tol
+        assert abs(got_h.p_succ - got_g.p_succ) <= tol
+
+
 def test_a_support_step_checks(ring4):
     with pytest.raises(BadParam):
         a_support_steps(ring4, 1.2)
