@@ -166,7 +166,7 @@ def check_flip_masks() -> list[CheckResult]:
             for axis in PauliAxis:
                 mask = pauli_flip_mask(g, v, axis)
                 for m in range(g.dim):
-                    rho = np.outer(basis[:, m], basis[:, m]).astype(np.complex128)
+                    rho = np.outer(basis[:, m], basis[:, m])
                     moved = oracle.dense_pauli_conjugate(rho, g.n, v, axis.value)
                     lam = oracle.graph_basis_twirl(moved, g)
                     want = np.zeros(g.dim)

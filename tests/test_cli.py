@@ -207,13 +207,13 @@ def test_measurement_flips_refused_outside_purify(capsys, tmp_path, command, sou
     assert code == EXIT_OK and out
 
 
-UNUSED_FLAGS = {  # flag -> (a non-default value, its scenario key, the default)
-    "--schedule": ("P1", "schedule", "P1P2"),
-    "--r-max": ("1", "r_max", "200"),
-    "--eps": ("0.3", "eps", "1e-6"),
-    "--tol": ("0.5", "tol", "1e-12"),
-    "--param": ("0.5", "param", "0.9"),
-    "--seed": ("5", "seed", "0"),
+UNUSED_FLAGS = {  # flag -> (a non-default value, the same as a scenario, the default)
+    "--schedule": ("P1", {"schedule": "P1"}, "P1P2"),
+    "--r-max": ("1", {"r_max": 1}, "200"),
+    "--eps": ("0.3", {"eps": 0.3}, "1e-6"),
+    "--tol": ("0.5", {"tol": 0.5}, "1e-12"),
+    "--param": ("0.5", {"param": 0.5}, "0.9"),
+    "--seed": ("5", {"seed": 5}, "0"),
 }
 
 
@@ -222,9 +222,9 @@ UNUSED_FLAGS = {  # flag -> (a non-default value, its scenario key, the default)
 def test_unused_fields_refused_outside_purify(capsys, tmp_path, flag, source):
     # threshold, scan and compare-bepp fix their own schedule, stop rule,
     # input state and seed; a value they would ignore is refused instead.
-    value, key, default = UNUSED_FLAGS[flag]
+    value, fields, default = UNUSED_FLAGS[flag]
     scenario = tmp_path / "sc.json"
-    scenario.write_text(json.dumps({key: json.loads(value) if key != "schedule" else value}))
+    scenario.write_text(json.dumps(fields))
     given = (flag, value) if source == "flag" else ("--scenario", str(scenario))
     for command in (("threshold", "--quantity", "fmax"), ("scan", "--quantity", "fmax"), ("compare-bepp",)):
         code, out, err = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", *given)

@@ -100,6 +100,8 @@ def test_size_limits():
     five = standard_graph(GraphKind.LINEAR_CLUSTER, 5)
     with pytest.raises(TooLarge):
         oracle.dense_protocol_step(np.eye(32) / 32, np.eye(32) / 32, five)
+    with pytest.raises(TooLarge):  # the cached basis matrix stays small
+        oracle.graph_basis_matrix(standard_graph(GraphKind.LINEAR_CLUSTER, 7))
 
 
 def test_dense_state_validation(path4, rng):
@@ -201,3 +203,17 @@ def test_cached_oracle_matrices_are_read_only(ghz3):
             cached[0, 0] = 2.0
     assert oracle.graph_basis_matrix(ghz3) is basis
     assert np.abs(basis.T @ basis - np.eye(ghz3.dim)).max() < 1e-12
+
+
+def test_twirl_keeps_real_input_real_and_refuses_an_imaginary_diagonal(path4, rng):
+    lam = rng.random(path4.dim)
+    rho = oracle.diagonal_dense(path4, lam / lam.sum())
+    assert rho.dtype == np.float64
+    got = oracle.graph_basis_twirl(rho, path4)
+    assert got.dtype == np.float64
+    # a Hermitian imaginary part leaves the graph-basis diagonal real
+    skew = rng.random((path4.dim, path4.dim))
+    hermitian = rho + 1e-3j * (skew - skew.T)
+    assert np.abs(oracle.graph_basis_twirl(hermitian, path4) - got).max() < 1e-15
+    with pytest.raises(ValueError, match="imaginary"):
+        oracle.graph_basis_twirl(rho + 1e-3j * np.eye(path4.dim), path4)
