@@ -159,15 +159,17 @@ def _resolve_graph(sc: Scenario) -> Graph:
 
 # Scenario fields that threshold, scan and compare-bepp do not read: their
 # searches fix their own schedules, stop rules and input states and model
-# perfect measurements. (No command reads `seed`; oracle-check has its own.)
+# perfect measurements. No command reads `seed` (oracle-check has its own
+# flag): every run is deterministic.
 UNUSED_BY_SEARCHES = ("f_m", "schedule", "r_max", "eps", "tol", "param", "seed")
+UNUSED_BY_PURIFY = ("seed",)
 
 
-def _refuse_unused(sc: Scenario, command: str) -> None:
+def _refuse_unused(sc: Scenario, command: str, keys: tuple[str, ...] = UNUSED_BY_SEARCHES) -> None:
     """Refuse an unused field set away from its default rather than silently
     ignore it."""
     default = Scenario()
-    for key in UNUSED_BY_SEARCHES:
+    for key in keys:
         if getattr(sc, key) != getattr(default, key):
             raise ParseError(f"{command} does not use --{key.replace('_', '-')} (scenario {key}): "
                              f"it must stay at {getattr(default, key)!r}, got {getattr(sc, key)!r}")
@@ -226,6 +228,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_purify(args) -> int:
     sc = parse_scenario(args)
+    _refuse_unused(sc, "purify", UNUSED_BY_PURIFY)
     g = _resolve_graph(sc)
     s0 = _family_state(g, Family(sc.family), sc.param)
     trace = iterate(s0, _parse_schedule(sc.schedule), sc.p, sc.f_m, StopRule(sc.eps, sc.tol, sc.r_max))

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import BadParam, TooLarge
 from .graphs import Graph
 
 MAX_VECTOR_QUBITS = 12
@@ -117,7 +117,7 @@ def graph_basis_twirl(rho: np.ndarray, g: Graph) -> np.ndarray:
     """Diagonal of rho in the graph basis (the coefficients that survive a
     randomized correlation-operator twirl)."""
     if rho.shape != (g.dim, g.dim):
-        raise TooLarge(f"matrix shape {rho.shape} does not match n={g.n}")
+        raise BadParam(f"matrix shape {rho.shape} does not match n={g.n}")
     basis = graph_basis_matrix(g)
     return _real((basis * (rho @ basis)).sum(axis=0), "graph-basis diagonal")
 
@@ -181,6 +181,16 @@ def dense_cnot(rho: np.ndarray, m: int, control: int, target: int) -> np.ndarray
 # two-copy protocol circuit
 
 
+def _checked_vertices(g: Graph, which: str) -> frozenset[int]:
+    """The vertex set a round checks: A for "P1", B for "P2". Any other
+    name is refused rather than read as one of them."""
+    if which == "P1":
+        return g.a_vertices
+    if which == "P2":
+        return g.b_vertices
+    raise BadParam(f"unknown round {which!r}: expected 'P1' or 'P2'")
+
+
 def cnot_layer_indexmap(g: Graph, which: str) -> np.ndarray:
     """Computational-basis permutation of the transversal CNOT layer on two
     copies (copy 1 low bits, copy 2 high bits).
@@ -190,10 +200,10 @@ def cnot_layer_indexmap(g: Graph, which: str) -> np.ndarray:
     copy-2 qubit is the CNOT control on A-vertices and the copy-1 qubit is
     the control on B-vertices; P2 swaps the roles of the two vertex sets.
     """
+    ctrl_copy2 = _checked_vertices(g, which)
     n = g.n
     idx = np.arange(1 << (2 * n))
     f = idx.copy()
-    ctrl_copy2 = g.a_vertices if which == "P1" else g.b_vertices
     for v in range(n):
         if v in ctrl_copy2:
             c, t = n + v, v
@@ -221,7 +231,7 @@ def acceptance_syndrome(g: Graph, outcomes: int, which: str) -> int:
     B-vertices; check j (an A-vertex) is the parity of the outcome on j and
     on its neighbors. P2 mirrors this over the B-vertices.
     """
-    checked = g.a_vertices if which == "P1" else g.b_vertices
+    checked = _checked_vertices(g, which)
     s = 0
     for j in checked:
         par = (outcomes & ((1 << j) | g.neighbor_mask[j])).bit_count() & 1
@@ -243,7 +253,7 @@ def _flip_weight_table(g: Graph, f_m: float, which: str) -> np.ndarray:
 def _measurement_vector(g: Graph, outcomes: int, which: str) -> np.ndarray:
     """Product state <phi_z| projected on copy 2: X eigenstates on the checked
     set, Z eigenstates on the complement."""
-    x_set = g.a_vertices if which == "P1" else g.b_vertices
+    x_set = _checked_vertices(g, which)
     idx = np.arange(g.dim, dtype=np.uint64)
     amp = np.ones(g.dim)
     for v in range(g.n):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
 from .states import ASupportState, GDState, _depolarize_all, _pauli_mix
-from .transforms import sign_lookup, spread_submasks, wht_bits
+from .transforms import bit_plane, parity_lookup, spread_submasks, wht_bits
 
 REL_NEG_TOL = 1e-12  # transform roundoff guard on unnormalized outputs
 
@@ -93,15 +93,13 @@ def _depolarize_multiplier(g: Graph, q: float) -> np.ndarray:
 
     The per-vertex kernel transforms to 1 on characters orthogonal to both
     the vertex bit and its neighbor mask, and to q elsewhere, so the composed
-    multiplier is q to the number of violated vertices.
+    multiplier is q to the number of violated vertices. That count (at most
+    n, so it fits a uint8) indexes a table of the n + 1 powers.
     """
-    idx = np.arange(g.dim, dtype=np.uint64)
-    violated = np.zeros(g.dim, dtype=np.int64)
+    violated = np.zeros(g.dim, dtype=np.uint8)
     for v in range(g.n):
-        own = ((idx >> np.uint64(v)) & np.uint64(1)).astype(np.int64)
-        nbr = (np.bitwise_count(idx & np.uint64(g.neighbor_mask[v])) & np.uint64(1)).astype(np.int64)
-        violated += own | nbr
-    return np.float_power(q, violated)
+        violated += bit_plane(g.n, v) | parity_lookup(g.n, g.neighbor_mask[v])
+    return np.float_power(q, np.arange(g.n + 1))[violated]
 
 
 @lru_cache(maxsize=2)  # P1 and P2 alternate within one trajectory
@@ -109,9 +107,10 @@ def _measure_flip_multiplier(g: Graph, f_m: float, which: Protocol) -> np.ndarra
     """Transform-domain multiplier of the recorded-syndrome flip distribution:
     each measured qubit flips its classical outcome independently with
     probability f_m."""
+    keep = 1.0 - f_m
     mult = np.ones(g.dim)
     for mask in _outcome_flip_masks(g, which):
-        mult *= (1.0 - f_m) + f_m * sign_lookup(g.n, mask)
+        mult *= np.where(parity_lookup(g.n, mask), keep - f_m, keep + f_m)
     return mult
 
 

@@ -12,12 +12,13 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadDistribution, BadParam, NegativeCoefficient
 from .graphs import Graph, syndrome_parts
-from .transforms import spread_submasks
+from .transforms import bit_positions, spread_submasks
 
 NEG_SLACK = 1e-15  # coefficients above -NEG_SLACK are clamped, below raise
 NORM_TOL = 1e-12
@@ -146,15 +147,38 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
     return apply_pauli_channel(s, v, (q + r, r, r, r))
 
 
+@lru_cache(maxsize=1024)  # a few masks per vertex of the graphs in use
+def _flip_index(n: int, mask: int) -> tuple[slice, ...]:
+    """The basic index that turns t = lam.reshape((2,) * n) into lam[i ^ mask]
+    as a view: bit b of i is axis n-1-b of t, and toggling it reverses that
+    axis."""
+    index = [slice(None)] * n
+    for b in bit_positions(mask):
+        index[n - 1 - b] = slice(None, None, -1)
+    return tuple(index)
+
+
 def _depolarize_all(g: Graph, lam: np.ndarray, q: float) -> np.ndarray:
     """Raw coefficients after a depolarizing pass of quality q on every
-    vertex in turn, without a GDState per vertex."""
+    vertex in turn, without a GDState per vertex.
+
+    The same sums as _pauli_mix, term for term (keep, then X, Y and Z), but
+    each Pauli image is a reversed-axis view rather than a gather through a
+    2^n index array, and it is added in place."""
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
     r = (1.0 - q) / 4.0
-    idx = np.arange(g.dim)
-    for v in range(g.n):
-        lam = _pauli_mix(lam, q + r, _vertex_moves(g, idx, v, r, r, r))
+    n = g.n
+    for v in range(n):
+        t = lam.reshape((2,) * n)
+        out = (q + r) * t
+        if r != 0.0:
+            x_image = t[_flip_index(n, g.neighbor_mask[v])]
+            z_flip = _flip_index(n, 1 << v)
+            out += r * x_image
+            out += r * x_image[z_flip]  # the Y image: X's, with the own bit toggled too
+            out += r * t[z_flip]
+        lam = out.reshape(-1)
     return lam
 
 

@@ -43,10 +43,42 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
     return out
 
 
+PLANE_BLOCK_BITS = 10
+# Bit b of i for every i below 2^PLANE_BLOCK_BITS, one row per low bit b.
+_LOW_PLANES = (np.arange(1 << PLANE_BLOCK_BITS, dtype=np.uint16)
+               >> np.arange(PLANE_BLOCK_BITS, dtype=np.uint16)[:, None] & 1).astype(np.uint8)
+_LOW_PLANES.setflags(write=False)
+
+
+def bit_plane(n: int, b: int) -> np.ndarray:
+    """Bit b of i for i in 0..2^n-1, as a read-only uint8 array of 0/1.
+
+    A low bit's pattern repeats within 2^PLANE_BLOCK_BITS entries, so its
+    plane is a row of a precomputed table: a view when n is small, else
+    broadcast over the rest in long contiguous rows. A high bit's plane is
+    a (2^(n-b-1), 2, 2^b) block whose runs of zeros and ones are already long.
+    """
+    if b >= PLANE_BLOCK_BITS:
+        plane = np.empty(1 << n, dtype=np.uint8)
+        halves = plane.reshape(-1, 2, 1 << b)
+        halves[:, 0] = 0
+        halves[:, 1] = 1
+    elif n <= PLANE_BLOCK_BITS:
+        return _LOW_PLANES[b, : 1 << n]
+    else:
+        rows = (1 << (n - PLANE_BLOCK_BITS), 1 << PLANE_BLOCK_BITS)
+        plane = np.broadcast_to(_LOW_PLANES[b], rows).reshape(-1)
+    plane.setflags(write=False)
+    return plane
+
+
 def parity_lookup(n: int, mask: int) -> np.ndarray:
-    """parity(i & mask) for i in 0..2^n-1, as a uint8 array of 0/1."""
-    idx = np.arange(1 << n, dtype=np.uint64) & np.uint64(mask)
-    return (np.bitwise_count(idx) & np.uint64(1)).astype(np.uint8)
+    """parity(i & mask) for i in 0..2^n-1, as a uint8 array of 0/1: the XOR
+    of the bit planes of mask."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for b in bit_positions(mask):
+        out ^= bit_plane(n, b)
+    return out
 
 
 def sign_lookup(n: int, mask: int) -> np.ndarray:

@@ -40,6 +40,19 @@ def test_purify_trace_and_dump(capsys, tmp_path):
     assert dump.read_text().startswith("index,a_part,b_part,lambda")
 
 
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_purify_refuses_seed(capsys, tmp_path, source):
+    # purify is deterministic; a seed it would ignore is refused instead.
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps({"seed": 5}))
+    given = ("--seed", "5") if source == "flag" else ("--scenario", str(scenario))
+    code, out, err = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", *given)
+    assert code == EXIT_USAGE
+    assert out == "" and "--seed" in err
+    code, out, _ = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", "--seed", "0")
+    assert code == EXIT_OK and out.startswith("round,")
+
+
 def test_threshold_restricted_ghz5(capsys):
     code, out, _ = run(capsys, "threshold", "--graph", "ghz", "--n", "5",
                        "--family", "restricted-bitflip", "--quantity", "pmin")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gspurify import oracle
-from gspurify.errors import TooLarge
+from gspurify.errors import BadParam, TooLarge
 from gspurify.graphs import GraphKind, build_graph, standard_graph
 
 
@@ -217,3 +217,23 @@ def test_twirl_keeps_real_input_real_and_refuses_an_imaginary_diagonal(path4, rn
     assert np.abs(oracle.graph_basis_twirl(hermitian, path4) - got).max() < 1e-15
     with pytest.raises(ValueError, match="imaginary"):
         oracle.graph_basis_twirl(rho + 1e-3j * np.eye(path4.dim), path4)
+
+
+@pytest.mark.parametrize("which", ["p1", "p2", "P3", ""])
+def test_unknown_round_name_refused(ghz3, which):
+    # A lower-case or unknown name must not run (or measure as) the P2 round.
+    rho = oracle.dense_graph_state(ghz3).rho
+    with pytest.raises(BadParam, match="unknown round"):
+        oracle.dense_protocol_step(rho, rho, ghz3, which=which)
+    with pytest.raises(BadParam, match="unknown round"):
+        oracle.cnot_layer_indexmap(ghz3, which)
+    with pytest.raises(BadParam, match="unknown round"):
+        oracle.acceptance_syndrome(ghz3, 0b101, which)
+
+
+def test_twirl_shape_mismatch_is_bad_param(path4, ghz3):
+    # A matrix of the wrong graph is a caller error, not a size refusal.
+    with pytest.raises(BadParam, match="does not match"):
+        oracle.graph_basis_twirl(oracle.dense_graph_state(ghz3).rho, path4)
+    with pytest.raises(BadParam, match="does not match"):
+        oracle.graph_basis_twirl(np.eye(path4.dim)[:, :4], path4)

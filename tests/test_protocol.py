@@ -9,6 +9,9 @@ from gspurify.protocol import (
     Protocol,
     StopRule,
     Verdict,
+    _depolarize_multiplier,
+    _measure_flip_multiplier,
+    _outcome_flip_masks,
     _reference_step,
     _xor_cross_naive,
     a_support_steps,
@@ -21,7 +24,9 @@ from gspurify.protocol import (
 from gspurify.states import (
     ASupportState,
     GDState,
+    apply_pauli_channel,
     bitflip_b_noise,
+    depolarizing_channel,
     prepared_with_channel_noise,
     pure_target,
     rho_a_family,
@@ -220,10 +225,10 @@ def test_non_finite_acceptance_rejected(path4):
 
 
 @st.composite
-def connected_bipartite_graphs(draw):
-    """A random tree on 2..7 vertices plus random extra edges between its
+def connected_bipartite_graphs(draw, max_n=7):
+    """A random tree on 2..max_n vertices plus random extra edges between its
     two colour classes."""
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, max_n))
     parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     depth = [0]
     for p in parent:
@@ -257,6 +262,60 @@ def test_transform_round_matches_reference(data):
         assert abs(got.p_succ - want.p_succ) <= 1e-12
         for res in (got, want):
             assert abs(res.state.lam.sum() - 1.0) <= 1e-12
+
+
+def popcount_depolarize_multiplier(g, q):
+    """The gate-noise multiplier from uint64 popcounts and an element-wise
+    power: the reference the bit-plane build must match bit for bit."""
+    idx = np.arange(g.dim, dtype=np.uint64)
+    violated = np.zeros(g.dim, dtype=np.int64)
+    for v in range(g.n):
+        own = ((idx >> np.uint64(v)) & np.uint64(1)).astype(np.int64)
+        nbr = (np.bitwise_count(idx & np.uint64(g.neighbor_mask[v])) & np.uint64(1)).astype(np.int64)
+        violated += own | nbr
+    return np.float_power(q, violated)
+
+
+def popcount_measure_flip_multiplier(g, f_m, which):
+    """The outcome-flip multiplier from uint64 popcounts and a float sign
+    per vertex, the same reference."""
+    idx = np.arange(g.dim, dtype=np.uint64)
+    mult = np.ones(g.dim)
+    for mask in _outcome_flip_masks(g, which):
+        parity = (np.bitwise_count(idx & np.uint64(mask)) & np.uint64(1)).astype(np.uint8)
+        mult *= (1.0 - f_m) + f_m * (1.0 - 2.0 * parity)
+    return mult
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bit_plane_multipliers_match_popcount_formulas(data):
+    g = data.draw(connected_bipartite_graphs(max_n=12))
+    q = data.draw(st.floats(0.0, 1.0))
+    f_m = data.draw(st.floats(0.0, 0.5))
+    # __wrapped__ builds afresh, past the one-trajectory caches.
+    assert np.array_equal(_depolarize_multiplier.__wrapped__(g, q), popcount_depolarize_multiplier(g, q))
+    for which in Protocol:
+        assert np.array_equal(_measure_flip_multiplier.__wrapped__(g, f_m, which),
+                              popcount_measure_flip_multiplier(g, f_m, which))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_channels_and_rounds_conserve_trace(data):
+    g = data.draw(connected_bipartite_graphs())
+    s = data.draw(gd_states(g))
+    q = data.draw(st.floats(0.0, 1.0))
+    v = data.draw(st.integers(0, g.n - 1))
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1))
+    probs = tuple(np.array(weights) / sum(weights))
+    outputs = [prepared_with_channel_noise(g, q), depolarizing_channel(s, v, q),
+               apply_pauli_channel(s, v, probs), bitflip_b_noise(s, q)]
+    p = data.draw(st.floats(0.5, 1.0))
+    f_m = data.draw(st.floats(0.0, 0.5))
+    outputs += [p1_step(s, p, f_m).state, p2_step(s, p, f_m).state]
+    for out in outputs:
+        assert abs(out.lam.sum() - 1.0) <= 1e-12
 
 
 def a_support_states(g):
