@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,35 @@ class Family(Enum):
     RHO_X = "rho-x"
     RHO_A = "rho-a"
     RESTRICTED_BITFLIP = "restricted-bitflip"
+
+
+class Quantity(NamedTuple):
+    tolerance: float  # bracket half-width a threshold search stops at
+    families: tuple[Family, ...]  # the input families its search reads
+
+
+# The threshold quantities. f_max iterates from the pure target; it belongs
+# to rho-q and rho-x, whose searches climb to that P1P2 fixed point.
+QUANTITIES = {
+    "fmin": Quantity(1e-6, (Family.RHO_X, Family.RHO_A)),
+    "qmin": Quantity(1e-6, (Family.RHO_Q,)),
+    "pmin": Quantity(1e-4, (Family.RHO_Q, Family.RESTRICTED_BITFLIP)),
+    "fmax": Quantity(1e-9, (Family.RHO_Q, Family.RHO_X)),
+}
+# The families with an input state of their own: restricted-bitflip is the
+# rho-a input under B-vertex bit flips, a noise model only p_min reads.
+STATE_FAMILIES = (Family.RHO_Q, Family.RHO_X, Family.RHO_A)
+
+
+def _check_family(quantity: str, family: Family) -> Quantity:
+    """The quantity's table entry, refusing a family its search does not read."""
+    if quantity not in QUANTITIES:
+        raise BadParam(f"unknown quantity {quantity!r}")
+    entry = QUANTITIES[quantity]
+    if family not in entry.families:
+        names = ", ".join(f.value for f in entry.families)
+        raise BadParam(f"{quantity} is defined for {names}, got {family.value}")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -280,18 +310,9 @@ def _family_state(g: Graph, family: Family, param: float) -> GDState:
         return prepared_with_channel_noise(g, param)
     if family is Family.RHO_X:
         return global_white(g, param)
-    if family in (Family.RHO_A, Family.RESTRICTED_BITFLIP):
+    if family is Family.RHO_A:
         return rho_a_family(g, param)
-    raise BadParam(f"unknown family {family!r}")
-
-
-def _schedule_for(family: Family) -> tuple[Protocol, ...]:
-    # Pure-B-support inputs carry information only in their A syndromes, so
-    # only the A-information round is applied; the mirror round would spread
-    # the A distribution instead of sharpening it.
-    if family in (Family.RHO_A, Family.RESTRICTED_BITFLIP):
-        return (Protocol.P1,)
-    return (Protocol.P1, Protocol.P2)
+    raise BadParam(f"{family.value} has no input state of its own")
 
 
 def _f_min_bracket(
@@ -301,9 +322,10 @@ def _f_min_bracket(
     tolerance: float,
     meter: _RoundMeter | None,
 ) -> tuple[float, float, float]:
-    if family not in (Family.RHO_X, Family.RHO_A):
-        raise BadParam(f"f_min is defined for RHO_X and RHO_A, got {family}")
-    schedule = _schedule_for(family)
+    # Pure-B-support inputs carry information only in their A syndromes, so
+    # only the A-information round is applied; the mirror round would spread
+    # the A distribution instead of sharpening it.
+    schedule = (Protocol.P1,) if family is Family.RHO_A else (Protocol.P1, Protocol.P2)
     target = f_max(g, p, schedule=schedule, meter=meter)
     steps = standard_steps(schedule, p, 0.0)
 
@@ -325,6 +347,7 @@ def f_min(
     """Smallest input fidelity within the family that still purifies to the
     p-dependent stationary fidelity. Bisects the family parameter and returns
     the fidelity of the critical member."""
+    _check_family("fmin", family)
     value, _, _ = _f_min_bracket(g, family, p, tolerance, meter)
     return value
 
@@ -364,7 +387,7 @@ def _p_min_bracket(
                 for f in grid
             )
 
-    elif family is Family.RHO_Q:
+    else:  # rho-q
         grid = np.linspace(0.9999, 0.5, P_MIN_GRID)  # descending: fast members first
 
         def pred(p: float) -> bool:
@@ -383,9 +406,6 @@ def _p_min_bracket(
                     return True
             return False
 
-    else:
-        raise BadParam(f"p_min is defined for RHO_Q and RESTRICTED_BITFLIP, got {family}")
-
     return _bisect(0.4, 1.0, pred, tolerance)
 
 
@@ -397,6 +417,7 @@ def p_min(
 ) -> float:
     """Smallest local-operation quality p for which some family member still
     purifies, by bisection over p in [0.4, 1]."""
+    _check_family("pmin", family)
     value, _, _ = _p_min_bracket(g, family, tolerance, meter)
     return value
 
@@ -526,22 +547,17 @@ def bepp_bound(g: Graph, p: float) -> float:
 
 
 def threshold_report(g: Graph, family: Family, quantity: str, p: float = 1.0) -> ThresholdReport:
+    tol = _check_family(quantity, family).tolerance
     meter = _RoundMeter()
     if quantity == "fmin":
-        tol = 1e-6
         value, lo, hi = _f_min_bracket(g, family, p, tol, meter)
     elif quantity == "qmin":
-        tol = 1e-6
         value, lo, hi = _q_min_bracket(g, p, tol, meter)
     elif quantity == "pmin":
-        tol = 1e-4
         value, lo, hi = _p_min_bracket(g, family, tol, meter)
-    elif quantity == "fmax":
-        tol = 1e-9
+    else:  # fmax
         value = f_max(g, p, meter=meter)
         lo, hi = value - tol, value + tol
-    else:
-        raise BadParam(f"unknown quantity {quantity!r}")
     return ThresholdReport(
         family=family.value,
         lo=lo,

@@ -1,8 +1,9 @@
 """Command-line front end: scenarios, sweeps and CSV emission.
 
 Exit codes: 0 success, 2 usage or input-file problems (a graph of more than
-MAX_QUBITS vertices included), 3 numerical failures (bracket or zero-success
-conditions), 4 oracle mismatch.
+MAX_QUBITS vertices, an unreadable input file and an unwritable output path
+included), 3 numerical failures (bracket or zero-success conditions), 4
+oracle mismatch.
 """
 
 from __future__ import annotations
@@ -12,28 +13,12 @@ import json
 import math
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
-from .analysis import (
-    Family,
-    _family_state,
-    bepp_bound,
-    f_max,
-    threshold_report,
-)
-from .errors import (
-    BadParam,
-    BracketError,
-    EmptyRegion,
-    GspurifyError,
-    InvalidParam,
-    NoFixedPoint,
-    OddCycle,
-    ParseError,
-    TooLarge,
-    ZeroSuccess,
-)
-from .graphs import MAX_QUBITS, Graph, load_graph, standard_graph_by_name
+from .analysis import QUANTITIES, STATE_FAMILIES, Family, _family_state, bepp_bound, f_max, threshold_report
+from .errors import DuplicateEdge, GspurifyError, InvalidParam, OddCycle, ParseError, TooLarge
+from .graphs import MAX_QUBITS, Graph, parse_graph_text, standard_graph_by_name
 from .protocol import Protocol, StopRule, iterate
 from .selfcheck import run_equivalence_suite
 
@@ -41,6 +26,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_ORACLE = 4
+# Errors in what the user gave; every other package error is numerical.
+USAGE_ERRORS = (ParseError, OddCycle, DuplicateEdge, InvalidParam, TooLarge)
 
 FLOAT_FMT = "{:.17g}"
 
@@ -79,6 +66,8 @@ class Scenario:
             raise ParseError(f"f-m={self.f_m} outside [0,1/2]")
         if self.family not in {f.value for f in Family}:
             raise ParseError(f"unknown family {self.family!r}")
+        if self.quantity is not None and self.quantity not in QUANTITIES:
+            raise ParseError(f"unknown quantity {self.quantity!r}")
         _parse_schedule(self.schedule)
         if self.r_max < 1:
             raise ParseError(f"r-max={self.r_max} must be positive")
@@ -109,20 +98,58 @@ class Scenario:
         return sc
 
 
+# The Scenario fields each command reads. The searches fix their own
+# schedules, stop rules and input states and model perfect measurements; no
+# command reads `seed` (oracle-check has its own flag): every run is
+# deterministic.
+_EVERY = ("graph", "n", "rows", "cols", "graph_file", "out")
+READS = {
+    "purify": _EVERY + ("family", "param", "p", "f_m", "schedule", "eps", "tol", "r_max"),
+    "threshold": _EVERY + ("family", "p", "quantity"),
+    "scan": _EVERY + ("family", "p", "quantity", "p_grid", "n_grid"),
+    "compare-bepp": _EVERY + ("p", "p_grid"),
+}
+
+
+@contextmanager
+def _user_file(path: str, mode: str = "r", encoding: str = "utf-8"):
+    """Open a file named on the command line; failing to open, read, write or
+    decode it is a usage error that names the path."""
+    try:
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc}") from None
+
+
 def parse_scenario(args: argparse.Namespace) -> Scenario:
-    """Build a Scenario from a file (if given) with flag overrides on top."""
-    sc = Scenario()
-    if getattr(args, "scenario", None):
-        try:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
-                sc = Scenario.from_json(fh.read(), source=args.scenario)
-        except OSError as exc:
-            raise ParseError(f"cannot read scenario file: {exc}") from None
-    for key in Scenario().__dict__:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(sc, key, flag)
+    """Build a Scenario from a file (if given) with flag overrides on top.
+
+    A field the command does not read must stay at its default, and the
+    family must be one the command (or its quantity) reads: a value the run
+    would ignore is refused rather than dropped silently.
+    """
+    sc = default = Scenario()
+    if args.scenario:
+        with _user_file(args.scenario) as fh:
+            sc = Scenario.from_json(fh.read(), source=args.scenario)
+    flags = {key: getattr(args, key) for key in asdict(sc) if getattr(args, key, None) is not None}
+    sc = replace(sc, **flags)
     sc.validate()
+    reads = READS[args.command]
+    for key, value in asdict(sc).items():
+        if key not in reads and value != getattr(default, key):
+            raise ParseError(f"{args.command} does not use --{key.replace('_', '-')} (scenario {key}): "
+                             f"it must stay at {getattr(default, key)!r}, got {value!r}")
+    if "quantity" in reads:
+        if sc.quantity is None:
+            raise ParseError(f"{args.command} needs --quantity ({'|'.join(QUANTITIES)})")
+        families, reader = QUANTITIES[sc.quantity].families, f"--quantity {sc.quantity}"
+    else:
+        families, reader = STATE_FAMILIES, args.command
+    if "family" in reads and Family(sc.family) not in families:
+        raise ParseError(f"{reader} reads --family {'|'.join(f.value for f in families)}, "
+                         f"got {sc.family!r}")
     return sc
 
 
@@ -140,7 +167,8 @@ def _resolve_graph(sc: Scenario) -> Graph:
     """The scenario's graph, refused with TooLarge beyond MAX_QUBITS vertices
     before anything of size 2^N is allocated (graph files by their parser)."""
     if sc.graph == "file":
-        return load_graph(sc.graph_file)
+        with _user_file(sc.graph_file, encoding="ascii") as fh:
+            return parse_graph_text(fh.read(), source=sc.graph_file)
     if sc.graph == "grid":
         rows = sc.rows if sc.rows is not None else 2
         cols = sc.cols
@@ -155,30 +183,6 @@ def _resolve_graph(sc: Scenario) -> Graph:
     if n > MAX_QUBITS:
         raise TooLarge(f"{n} vertices exceed the limit of {MAX_QUBITS}: a state holds 2^N coefficients")
     return standard_graph_by_name(sc.graph, *dims)
-
-
-# Scenario fields that threshold, scan and compare-bepp do not read: their
-# searches fix their own schedules, stop rules and input states and model
-# perfect measurements. No command reads `seed` (oracle-check has its own
-# flag): every run is deterministic.
-UNUSED_BY_SEARCHES = ("f_m", "schedule", "r_max", "eps", "tol", "param", "seed")
-UNUSED_BY_PURIFY = ("seed",)
-
-
-def _refuse_unused(sc: Scenario, command: str, keys: tuple[str, ...] = UNUSED_BY_SEARCHES) -> None:
-    """Refuse an unused field set away from its default rather than silently
-    ignore it."""
-    default = Scenario()
-    for key in keys:
-        if getattr(sc, key) != getattr(default, key):
-            raise ParseError(f"{command} does not use --{key.replace('_', '-')} (scenario {key}): "
-                             f"it must stay at {getattr(default, key)!r}, got {getattr(sc, key)!r}")
-
-
-def _graph_label(sc: Scenario) -> str:
-    if sc.graph == "file":
-        return sc.graph_file or "file"
-    return sc.graph
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
@@ -216,7 +220,7 @@ def _parse_int_grid(spec: str, name: str) -> list[int]:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _user_file(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -228,65 +232,43 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_purify(args) -> int:
     sc = parse_scenario(args)
-    _refuse_unused(sc, "purify", UNUSED_BY_PURIFY)
     g = _resolve_graph(sc)
     s0 = _family_state(g, Family(sc.family), sc.param)
     trace = iterate(s0, _parse_schedule(sc.schedule), sc.p, sc.f_m, StopRule(sc.eps, sc.tol, sc.r_max))
+    if args.dump_final:  # first, so that a refused path leaves no trace output behind
+        _emit(trace.final_state.to_csv(), args.dump_final)
     lines = [trace.to_csv()]
     lines.append(f"# verdict,{trace.verdict.value}\n")
     lines.append(f"# final_fidelity,{FLOAT_FMT.format(trace.final_fidelity)}\n")
     lines.append(f"# expected_cost,{FLOAT_FMT.format(trace.expected_cost)}\n")
     _emit("".join(lines), sc.out)
-    if args.dump_final:
-        with open(args.dump_final, "w", encoding="utf-8") as fh:
-            fh.write(trace.final_state.to_csv())
     return EXIT_OK
-
-
-THRESHOLD_HEADER = "graph_kind,N,family,p,quantity,value,tolerance,rounds_used\n"
-
-
-def _report_row(label: str, n: int, report, p: float, quantity: str) -> str:
-    return (
-        f"{label},{n},{report.family},{FLOAT_FMT.format(p)},{quantity},"
-        f"{FLOAT_FMT.format(report.value)},{FLOAT_FMT.format(report.tolerance)},"
-        f"{report.rounds_used}\n"
-    )
 
 
 def _cmd_threshold(args) -> int:
-    sc = parse_scenario(args)
-    _refuse_unused(sc, "threshold")
-    g = _resolve_graph(sc)
-    if not sc.quantity:
-        raise ParseError("threshold needs --quantity (fmin|qmin|pmin|fmax)")
-    report = threshold_report(g, Family(sc.family), sc.quantity, sc.p)
-    _emit(THRESHOLD_HEADER + _report_row(_graph_label(sc), g.n, report, sc.p, sc.quantity), sc.out)
-    return EXIT_OK
-
-
-def _cmd_scan(args) -> int:
+    """threshold, and scan: the same search at each point of an N and p grid
+    (a single point for threshold), scan's rows under a version line."""
     from . import __version__
 
     sc = parse_scenario(args)
-    _refuse_unused(sc, "scan")
-    if not sc.quantity:
-        raise ParseError("scan needs --quantity (fmin|qmin|pmin|fmax)")
     n_values = _parse_int_grid(sc.n_grid, "n-grid") if sc.n_grid else [sc.n]
     p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
     graphs = [_resolve_graph(replace(sc, n=n)) for n in n_values]
-    rows = [f"# gspurify {__version__} scan\n", THRESHOLD_HEADER]
+    label = sc.graph_file if sc.graph == "file" else sc.graph
+    rows = [f"# gspurify {__version__} scan\n"] if args.command == "scan" else []
+    rows.append("graph_kind,N,family,p,quantity,value,tolerance,rounds_used\n")
     for g in graphs:
         for p in p_values:
             report = threshold_report(g, Family(sc.family), sc.quantity, p)
-            rows.append(_report_row(_graph_label(sc), g.n, report, p, sc.quantity))
+            rows.append(f"{label},{g.n},{report.family},{FLOAT_FMT.format(p)},{sc.quantity},"
+                        f"{FLOAT_FMT.format(report.value)},{FLOAT_FMT.format(report.tolerance)},"
+                        f"{report.rounds_used}\n")
     _emit("".join(rows), sc.out)
     return EXIT_OK
 
 
 def _cmd_compare_bepp(args) -> int:
     sc = parse_scenario(args)
-    _refuse_unused(sc, "compare-bepp")
     g = _resolve_graph(sc)
     p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
     rows = ["p,f_max_mepp,bepp_bound\n"]
@@ -334,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--r-max", dest="r_max", type=int, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--quantity", choices=["fmin", "qmin", "pmin", "fmax"], default=None)
+        sp.add_argument("--quantity", choices=list(QUANTITIES), default=None)
         sp.add_argument("--p-grid", dest="p_grid", default=None)
         sp.add_argument("--n-grid", dest="n_grid", default=None)
 
@@ -349,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="threshold/fixed-point grid over N and p")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_scan)
+    sp.set_defaults(fn=_cmd_threshold)
 
     sp = sub.add_parser("compare-bepp", help="stationary fidelity vs the bipartite bound over a p grid")
     add_common(sp)
@@ -371,14 +353,11 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, OddCycle, InvalidParam, TooLarge) as exc:
+    except USAGE_ERRORS as exc:
         sys.stderr.write(f"gspurify: {exc}\n")
         return EXIT_USAGE
-    except (BracketError, ZeroSuccess, NoFixedPoint, EmptyRegion, BadParam) as exc:
-        sys.stderr.write(f"gspurify: numerical failure: {exc}\n")
-        return EXIT_NUMERIC
     except GspurifyError as exc:
-        sys.stderr.write(f"gspurify: {exc}\n")
+        sys.stderr.write(f"gspurify: numerical failure: {exc}\n")
         return EXIT_NUMERIC
 
 

@@ -208,11 +208,6 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph_text(fh.read(), source=path)
-
-
 def standard_graph_by_name(name: str, *dims: int) -> Graph:
     """Resolve a CLI-style kind name ("ghz", "path", "ring", "grid")."""
     for kind in GraphKind:

@@ -81,11 +81,6 @@ def parity_lookup(n: int, mask: int) -> np.ndarray:
     return out
 
 
-def sign_lookup(n: int, mask: int) -> np.ndarray:
-    """(-1)^parity(i & mask) for i in 0..2^n-1, as float64."""
-    return 1.0 - 2.0 * parity_lookup(n, mask)
-
-
 def xor_convolve(a: np.ndarray, b: np.ndarray, n: int, mask: int) -> np.ndarray:
     """XOR convolution of a and b over the bits in mask (coincidence elsewhere).
 

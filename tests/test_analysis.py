@@ -102,6 +102,14 @@ def test_p_min_family_validation(path4):
         p_min(path4, Family.RHO_X)
 
 
+@pytest.mark.parametrize("quantity,family", [
+    ("fmin", Family.RHO_Q), ("qmin", Family.RHO_X), ("pmin", Family.RHO_A), ("fmax", Family.RESTRICTED_BITFLIP),
+])
+def test_threshold_report_refuses_families_its_search_does_not_read(path4, quantity, family):
+    with pytest.raises(BadParam, match=f"{quantity} is defined for"):
+        threshold_report(path4, family, quantity, 0.97)
+
+
 @pytest.mark.parametrize("n,value,rounds_used", [
     (16, 0.5925537109375001, 2556),
     (20, 0.5820068359374999, 1743),

@@ -247,6 +247,67 @@ def test_unused_fields_refused_outside_purify(capsys, tmp_path, flag, source):
     assert code == EXIT_OK and out
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("compare-bepp", "--family", "rho-x"), "--family"),
+    (("compare-bepp", "--quantity", "fmax"), "--quantity"),
+    (("compare-bepp", "--n-grid", "4:5"), "--n-grid"),
+    (("threshold", "--quantity", "fmax", "--p-grid", "0.96:0.97:0.01"), "--p-grid"),
+    (("threshold", "--quantity", "fmax", "--n-grid", "4:5"), "--n-grid"),
+    (("purify", "--quantity", "fmax"), "--quantity"),
+    (("purify", "--p-grid", "0.96:0.97:0.01"), "--p-grid"),
+    (("purify", "--n-grid", "4:5"), "--n-grid"),
+    (("purify", "--family", "restricted-bitflip"), "--family"),
+    (("purify", "--scenario", "{scenario}"), "--n-grid"),
+    (("threshold", "--scenario", "{bogus}"), "unknown quantity 'bogus'"),
+    (("threshold", "--quantity", "fmin", "--family", "rho-q"), "--family"),
+    (("threshold", "--quantity", "qmin", "--family", "rho-x"), "--family"),
+    (("threshold", "--quantity", "pmin", "--family", "rho-a"), "--family"),
+    (("threshold", "--quantity", "fmax", "--family", "rho-a"), "--family"),
+    (("scan", "--quantity", "fmax", "--family", "restricted-bitflip"), "--family"),
+    (("threshold", "--quantity", "fmax", "--graph", "file", "--graph-file", "{dup}"), "appears more than once"),
+], ids=["bepp-family", "bepp-quantity", "bepp-n-grid", "threshold-p-grid", "threshold-n-grid",
+        "purify-quantity", "purify-p-grid", "purify-n-grid", "purify-restricted", "purify-scenario-n-grid",
+        "scenario-unknown-quantity", "fmin-rho-q", "qmin-rho-x", "pmin-rho-a", "fmax-rho-a",
+        "scan-fmax-restricted", "duplicate-edge"])
+def test_inputs_a_command_does_not_read_exit_usage(capsys, tmp_path, argv, named):
+    # Each command reads a fixed set of fields and each quantity a fixed set
+    # of families; anything else is refused before any work, not ignored or
+    # reported as a numerical failure.
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps({"n_grid": "4:5"}))
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"quantity": "bogus"}))
+    dup = tmp_path / "dup.txt"
+    dup.write_text("3 3\n0 1\n1 2\n1 0\n")
+    argv = [a.format(scenario=scenario, bogus=bogus, dup=dup) for a in argv]
+    code, out, err = run(capsys, *argv, "--p", "0.97")
+    assert code == EXIT_USAGE
+    assert out == "" and named in err
+
+
+@pytest.mark.parametrize("argv,path", [
+    (("threshold", "--quantity", "fmax", "--graph", "file", "--graph-file", "{missing}"), "{missing}"),
+    (("threshold", "--quantity", "fmax", "--graph", "file", "--graph-file", "{tmp}"), "{tmp}"),
+    (("threshold", "--quantity", "fmax", "--graph", "file", "--graph-file", "{latin}"), "{latin}"),
+    (("purify", "--scenario", "{binary}"), "{binary}"),
+    (("purify", "--r-max", "1", "--out", "{nodir}"), "{nodir}"),
+    (("purify", "--r-max", "1", "--dump-final", "{nodir}"), "{nodir}"),
+], ids=["graph-file-missing", "graph-file-directory", "graph-file-non-ascii", "scenario-non-utf8",
+        "out-no-directory", "dump-final-no-directory"])
+def test_unusable_files_exit_usage(capsys, tmp_path, argv, path):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("2 1\n0 1 # café\n".encode("latin-1"))
+    binary = tmp_path / "sc.json"
+    binary.write_bytes(b'{"graph": "path\xff"}')
+    names = {"missing": tmp_path / "missing.txt", "tmp": tmp_path, "latin": latin, "binary": binary,
+             "nodir": tmp_path / "no-such-dir" / "out.csv"}
+    argv = [a.format(**names) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and path.format(**names) in err
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 def test_huge_graph_file_header_exits_at_once(capsys, tmp_path):
     gf = tmp_path / "huge.txt"
     gf.write_text("10000000 0\n")

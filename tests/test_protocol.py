@@ -388,6 +388,32 @@ def test_full_space_rounds_covariant_under_relabeling(data):
         assert abs(got_h.p_succ - got_g.p_succ) <= tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_p1_and_p2_mirror_under_colour_swap(data):
+    # Giving a B-vertex label 0 makes it the BFS root, so the colour classes
+    # swap: P1 on g is P2 on the relabelled graph, and P2 is P1.
+    g = data.draw(connected_bipartite_graphs())
+    perm = list(data.draw(st.permutations(range(g.n))))
+    b = data.draw(st.sampled_from(sorted(g.b_vertices)))
+    root = perm.index(0)
+    perm[root], perm[b] = perm[b], 0
+    h = relabeled(g, perm)
+    assert h.a_vertices == frozenset(perm[v] for v in g.b_vertices)
+    s = data.draw(gd_states(g))
+    p = data.draw(st.floats(0.5, 1.0))
+    f_m = data.draw(st.floats(0.0, 0.5))
+    moved = np.array([sum(1 << perm[v] for v in range(g.n) if m >> v & 1) for m in range(g.dim)])
+    lam_h = np.empty_like(s.lam)
+    lam_h[moved] = s.lam
+    tol = 1e-14  # as for the covariance test: the bits are visited in another order
+    for step_g, step_h in ((p1_step, p2_step), (p2_step, p1_step)):
+        got_g = step_g(s, p, f_m)
+        got_h = step_h(GDState(h, lam_h), p, f_m)
+        assert np.abs(got_h.state.lam[moved] - got_g.state.lam).max() <= tol
+        assert abs(got_h.p_succ - got_g.p_succ) <= tol
+
+
 def test_a_support_step_checks(ring4):
     with pytest.raises(BadParam):
         a_support_steps(ring4, 1.2)

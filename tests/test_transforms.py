@@ -4,7 +4,6 @@ import pytest
 from gspurify.transforms import (
     bit_positions,
     parity_lookup,
-    sign_lookup,
     spread_submasks,
     wht_bits,
     xor_convolve,
@@ -80,8 +79,6 @@ def test_spread_submasks_rank_xor():
 def test_parity_and_sign_lookup():
     n, mask = 5, 0b10101
     par = parity_lookup(n, mask)
-    sgn = sign_lookup(n, mask)
     for i in range(1 << n):
         want = (i & mask).bit_count() & 1
         assert par[i] == want
-        assert sgn[i] == (-1.0) ** want
