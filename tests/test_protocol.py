@@ -318,6 +318,52 @@ def test_channels_and_rounds_conserve_trace(data):
         assert abs(out.lam.sum() - 1.0) <= 1e-12
 
 
+def gather_mix(lam, p_keep, moves):
+    """p_keep * lam plus p * lam[i ^ mask] for each (p, mask), in the order
+    given and skipping p == 0: the channels' shuffle through 2^n index
+    arrays, independent of the library's view kernel."""
+    idx = np.arange(lam.size)
+    out = p_keep * lam
+    for p, mask in moves:
+        if p != 0.0:
+            out = out + p * lam[idx ^ mask]
+    return out
+
+
+def gather_vertex_moves(g, v, p_x, p_y, p_z):
+    """X toggles the neighbours' bits, Z the vertex's own, Y both."""
+    own, nbr = 1 << v, g.neighbor_mask[v]
+    return ((p_x, nbr), (p_y, own ^ nbr), (p_z, own))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_channels_match_gather_reference(data):
+    g = data.draw(connected_bipartite_graphs())
+    s = data.draw(gd_states(g))
+    v = data.draw(st.integers(0, g.n - 1))
+    maybe_zero = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    weights = data.draw(st.lists(maybe_zero, min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1))
+    probs = tuple(np.array(weights) / sum(weights))
+    want = gather_mix(s.lam, probs[0], gather_vertex_moves(g, v, *probs[1:]))
+    assert np.array_equal(apply_pauli_channel(s, v, probs).lam, want)
+
+    q = data.draw(st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)))
+    r = (1.0 - q) / 4.0
+    want = gather_mix(s.lam, q + r, gather_vertex_moves(g, v, r, r, r))
+    assert np.array_equal(depolarizing_channel(s, v, q).lam, want)
+    want = pure_target(g).lam
+    for u in range(g.n):
+        want = gather_mix(want, q + r, gather_vertex_moves(g, u, r, r, r))
+    assert np.array_equal(prepared_with_channel_noise(g, q).lam, want)
+
+    flip = (1.0 - q) / 2.0
+    want = s.lam
+    for u in sorted(g.b_vertices):
+        want = gather_mix(want, 1.0 - flip, ((flip, g.neighbor_mask[u]),))
+    assert np.array_equal(bitflip_b_noise(s, q).lam, want)
+
+
 def a_support_states(g):
     weights = st.lists(st.floats(0.0, 1.0), min_size=1 << g.n_a, max_size=1 << g.n_a)
     return weights.filter(lambda w: sum(w) > 0.1).map(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,25 @@ def test_multi_vertex_channels_match_per_vertex_chain(kind, n, rng):
         for v in range(g.n):
             chain = depolarizing_channel(chain, v, q)
         assert np.array_equal(prepared_with_channel_noise(g, q).lam, chain.lam)
+
+
+def test_channel_peak_memory_n18(rng):
+    # A Pauli image is a view of the input, so one channel call holds the
+    # output and one scaled image at a time: no 2^n index arrays or gathers.
+    g = standard_graph(GraphKind.LINEAR_CLUSTER, 18)
+    lam = rng.random(g.dim)
+    s = GDState(g, lam / lam.sum())
+    vector = 8 * g.dim
+    for call, bound in ((lambda: apply_pauli_channel(s, 7, (0.7, 0.1, 0.1, 0.1)), 2.1),
+                        (lambda: bitflip_b_noise(s, 0.8), 3.1)):
+        call()  # warm the caches first
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * vector, f"peak {peak / vector:.2f} x 2^n doubles"
 
 
 def test_rho_a_support_embeds_to_family(ring4):
