@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
-from .states import ASupportState, GDState, _depolarize_all, _pauli_mix
+from .states import ASupportState, GDState, PauliAxis, _depolarize_all, pauli_flip_mask
 from .transforms import bit_plane, parity_lookup, spread_submasks, wht_bits
 
 REL_NEG_TOL = 1e-12  # transform roundoff guard on unnormalized outputs
@@ -119,7 +119,7 @@ def _outcome_flip_masks(g: Graph, which: Protocol) -> list[int]:
     toggles: a flip on a checked-set vertex toggles its own syndrome bit, a
     flip on the other set toggles the syndrome bits of its neighbors."""
     checked = g.a_vertices if which is Protocol.P1 else g.b_vertices
-    return [(1 << v) if v in checked else g.neighbor_mask[v] for v in range(g.n)]
+    return [pauli_flip_mask(g, v, PauliAxis.Z if v in checked else PauliAxis.X) for v in range(g.n)]
 
 
 def _coincidence_mask(g: Graph, which: Protocol) -> int:
@@ -274,14 +274,16 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
     keep = 1.0 - flip
     subs = spread_submasks(g.a_mask)
     ranks = np.arange(len(subs))
-    # An X on B-vertex v moves rank r to r ^ rank(neighbor_mask[v]).
-    moves = [((flip, ranks ^ int(np.searchsorted(subs, g.neighbor_mask[v]))),)
+    # An X on B-vertex v moves rank r to r ^ rank(its flip mask). On these
+    # 2^n_a entries a precomputed gather beats the full space's axis views.
+    perms = [ranks ^ int(np.searchsorted(subs, pauli_flip_mask(g, v, PauliAxis.X)))
              for v in sorted(g.b_vertices)]
 
     def step(s: ASupportState) -> StepResult:
         lam = s.lam
-        for move in moves:
-            lam = _pauli_mix(lam, keep, move)
+        if flip != 0.0:
+            for perm in perms:
+                lam = keep * lam + flip * lam[perm]
         u = lam * lam
         p_succ = _acceptance(u)
         return StepResult(ASupportState(s.graph, u / p_succ), p_succ)

@@ -83,7 +83,8 @@ def pauli_flip_mask(g: Graph, v: int, axis: PauliAxis) -> int:
 
     Z toggles the vertex's own bit, X toggles all neighbor bits, Y both:
     conjugating a graph-basis projector by the Pauli moves index m to
-    m ^ mask.
+    m ^ mask. Every channel, input build and outcome-flip mask of the fast
+    path takes the rule from here; the dense oracle keeps its own copy.
     """
     if not 0 <= v < g.n:
         raise BadParam(f"vertex {v} out of range for n={g.n}")
@@ -105,25 +106,31 @@ def _validate_probs(probs) -> tuple[float, float, float, float]:
     return p
 
 
-def _pauli_mix(lam: np.ndarray, p_keep: float, moves) -> np.ndarray:
+@lru_cache(maxsize=1024)  # a few masks per vertex of the graphs in use
+def _flip_index(n: int, mask: int) -> tuple[slice, ...]:
+    """The basic index that turns t = lam.reshape((2,) * n) into lam[i ^ mask]
+    as a view: bit b of i is axis n-1-b of t, and toggling it reverses that
+    axis."""
+    index = [slice(None)] * n
+    for b in bit_positions(mask):
+        index[n - 1 - b] = slice(None, None, -1)
+    return tuple(index)
+
+
+def _pauli_mix(lam: np.ndarray, n: int, p_keep: float, moves) -> np.ndarray:
     """Raw-vector kernel of every Pauli channel here: p_keep * lam plus
-    p * lam[perm] for each (p, perm) in moves, skipping p == 0.
+    p * lam[i ^ mask] for each (p, mask) in moves, skipping p == 0.
 
-    The terms are added in the order given, so a chain of calls on raw arrays
-    gives the same bits as the same chain through validated GDStates."""
-    out = p_keep * lam
-    for p, perm in moves:
+    Each image is a reversed-axis view of lam shaped (2,) * n, not a gather
+    through a 2^n index array, and it is added in place in the order given,
+    so a chain of calls on raw arrays gives the same bits as the same chain
+    through validated GDStates."""
+    t = lam.reshape((2,) * n)
+    out = p_keep * t
+    for p, mask in moves:
         if p != 0.0:
-            out = out + p * lam[perm]
-    return out
-
-
-def _vertex_moves(g: Graph, idx: np.ndarray, v: int, p_x: float, p_y: float, p_z: float):
-    """The (p, perm) moves of single-vertex Paulis, without the p == 0 ones.
-    A generator, so that only one 2^n index permutation is built at a time."""
-    return ((p, idx ^ pauli_flip_mask(g, v, axis))
-            for p, axis in ((p_x, PauliAxis.X), (p_y, PauliAxis.Y), (p_z, PauliAxis.Z))
-            if p != 0.0)
+            out += p * t[_flip_index(n, mask)]
+    return out.reshape(-1)
 
 
 def apply_pauli_channel(s: GDState, v: int, probs) -> GDState:
@@ -132,9 +139,10 @@ def apply_pauli_channel(s: GDState, v: int, probs) -> GDState:
     probs is (p_I, p_X, p_Y, p_Z). Mass at index m moves to m ^ flip_mask
     for each Pauli branch, so the coefficient sum is conserved exactly.
     """
-    p_i, p_x, p_y, p_z = _validate_probs(probs)
+    p_i, *p_xyz = _validate_probs(probs)
     g = s.graph
-    return GDState(g, _pauli_mix(s.lam, p_i, _vertex_moves(g, np.arange(g.dim), v, p_x, p_y, p_z)))
+    moves = [(p, pauli_flip_mask(g, v, axis)) for p, axis in zip(p_xyz, PauliAxis)]
+    return GDState(g, _pauli_mix(s.lam, g.n, p_i, moves))
 
 
 def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
@@ -147,38 +155,15 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
     return apply_pauli_channel(s, v, (q + r, r, r, r))
 
 
-@lru_cache(maxsize=1024)  # a few masks per vertex of the graphs in use
-def _flip_index(n: int, mask: int) -> tuple[slice, ...]:
-    """The basic index that turns t = lam.reshape((2,) * n) into lam[i ^ mask]
-    as a view: bit b of i is axis n-1-b of t, and toggling it reverses that
-    axis."""
-    index = [slice(None)] * n
-    for b in bit_positions(mask):
-        index[n - 1 - b] = slice(None, None, -1)
-    return tuple(index)
-
-
 def _depolarize_all(g: Graph, lam: np.ndarray, q: float) -> np.ndarray:
     """Raw coefficients after a depolarizing pass of quality q on every
-    vertex in turn, without a GDState per vertex.
-
-    The same sums as _pauli_mix, term for term (keep, then X, Y and Z), but
-    each Pauli image is a reversed-axis view rather than a gather through a
-    2^n index array, and it is added in place."""
+    vertex in turn, without a GDState per vertex: keep, then the X, Y and
+    Z images, as depolarizing_channel mixes them."""
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
     r = (1.0 - q) / 4.0
-    n = g.n
-    for v in range(n):
-        t = lam.reshape((2,) * n)
-        out = (q + r) * t
-        if r != 0.0:
-            x_image = t[_flip_index(n, g.neighbor_mask[v])]
-            z_flip = _flip_index(n, 1 << v)
-            out += r * x_image
-            out += r * x_image[z_flip]  # the Y image: X's, with the own bit toggled too
-            out += r * t[z_flip]
-        lam = out.reshape(-1)
+    for v in range(g.n):
+        lam = _pauli_mix(lam, g.n, q + r, [(r, pauli_flip_mask(g, v, axis)) for axis in PauliAxis])
     return lam
 
 
@@ -251,8 +236,7 @@ def bitflip_b_noise(s: GDState, p: float) -> GDState:
         raise BadParam(f"p={p} outside [0,1]")
     flip = (1.0 - p) / 2.0
     g = s.graph
-    idx = np.arange(g.dim)
     lam = s.lam
     for v in sorted(g.b_vertices):
-        lam = _pauli_mix(lam, 1.0 - flip, ((flip, idx ^ g.neighbor_mask[v]),))
+        lam = _pauli_mix(lam, g.n, 1.0 - flip, [(flip, pauli_flip_mask(g, v, PauliAxis.X))])
     return GDState(g, lam)
