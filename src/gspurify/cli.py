@@ -56,7 +56,7 @@ class Scenario:
     n_grid: str | None = None
 
     def validate(self) -> None:
-        if self.graph != "file" and self.graph not in ("ghz", "path", "ring", "grid"):
+        if self.graph not in KIND_READS:
             raise ParseError(f"unknown graph kind {self.graph!r}")
         if self.graph == "file" and not self.graph_file:
             raise ParseError("graph 'file' needs --graph-file")
@@ -109,6 +109,13 @@ READS = {
     "scan": _EVERY + ("family", "p", "quantity", "p_grid", "n_grid"),
     "compare-bepp": _EVERY + ("p", "p_grid"),
 }
+# The graph fields each graph kind reads; a command reads only those of its
+# --graph kind.
+GRAPH_FIELDS = ("n", "n_grid", "rows", "cols", "graph_file")
+KIND_READS = {"ghz": ("n", "n_grid"), "path": ("n", "n_grid"), "ring": ("n", "n_grid"),
+              "grid": ("n", "n_grid", "rows", "cols"), "file": ("graph_file",)}
+# A grid, once set, replaces its single point.
+GRIDS = {"p_grid": "p", "n_grid": "n"}
 
 
 @contextmanager
@@ -137,10 +144,18 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
     sc = replace(sc, **flags)
     sc.validate()
     reads = READS[args.command]
-    for key, value in asdict(sc).items():
-        if key not in reads and value != getattr(default, key):
-            raise ParseError(f"{args.command} does not use --{key.replace('_', '-')} (scenario {key}): "
-                             f"it must stay at {getattr(default, key)!r}, got {value!r}")
+    # Each field the run would not read, with what leaves it unread.
+    unread = {key: args.command for key in asdict(sc) if key not in reads}
+    for key in GRAPH_FIELDS:
+        if key not in KIND_READS[sc.graph]:
+            unread.setdefault(key, f"{args.command} --graph {sc.graph}")
+    for grid, point in GRIDS.items():
+        if grid not in unread and getattr(sc, grid) is not None:
+            unread.setdefault(point, f"{args.command} with --{grid.replace('_', '-')}")
+    for key, reader in unread.items():
+        if getattr(sc, key) != getattr(default, key):
+            raise ParseError(f"{reader} does not use --{key.replace('_', '-')} (scenario {key}): "
+                             f"it must stay at {getattr(default, key)!r}, got {getattr(sc, key)!r}")
     if "quantity" in reads:
         if sc.quantity is None:
             raise ParseError(f"{args.command} needs --quantity ({'|'.join(QUANTITIES)})")
@@ -301,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--scenario", help="JSON scenario file; flags override its values")
-        sp.add_argument("--graph", choices=["ghz", "path", "ring", "grid", "file"], default=None)
+        sp.add_argument("--graph", choices=list(KIND_READS), default=None)
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--rows", type=int, default=None)
         sp.add_argument("--cols", type=int, default=None)

@@ -318,14 +318,6 @@ def dense_protocol_step(
     return graph_basis_twirl(acc / p_succ, g), p_succ
 
 
-def dense_p1(rho1, rho2, g: Graph, p: float = 1.0, f_m: float = 0.0):
-    return dense_protocol_step(rho1, rho2, g, p, f_m, "P1")
-
-
-def dense_p2(rho1, rho2, g: Graph, p: float = 1.0, f_m: float = 0.0):
-    return dense_protocol_step(rho1, rho2, g, p, f_m, "P2")
-
-
 def diagonal_dense(g: Graph, lam: np.ndarray) -> np.ndarray:
     """Dense matrix of a graph-diagonal state with the given coefficients."""
     basis = graph_basis_matrix(g)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import gspurify
-from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, Scenario, run_command
+from gspurify.analysis import QUANTITIES
+from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, READS, Scenario, run_command
 from gspurify.errors import ParseError
 
 
@@ -283,6 +285,69 @@ def test_inputs_a_command_does_not_read_exit_usage(capsys, tmp_path, argv, named
     code, out, err = run(capsys, *argv, "--p", "0.97")
     assert code == EXIT_USAGE
     assert out == "" and named in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("compare-bepp", "--graph", "path", "--n", "4", "--rows", "3", "--cols", "9"), "--rows"),
+    (("compare-bepp", "--graph", "file", "--graph-file", "{p4}", "--n", "9"), "--n"),
+    (("compare-bepp", "--graph", "path", "--n", "4", "--graph-file", "{p4}"), "--graph-file"),
+    (("scan", "--graph", "file", "--graph-file", "{p4}", "--n-grid", "4:6", "--quantity", "fmax", "--p", "1"),
+     "--n-grid"),
+    (("compare-bepp", "--graph", "path", "--n", "4", "--p", "0.5", "--p-grid", "0.97:0.97"), "--p"),
+    (("scan", "--graph", "path", "--n", "5", "--n-grid", "4:6", "--quantity", "fmax", "--p", "1"), "--n"),
+    (("scan", "--scenario", "{n_and_grid}", "--quantity", "fmax", "--p", "1"), "--n"),
+    (("compare-bepp", "--scenario", "{p_and_grid}"), "--p"),
+], ids=["path-rows-cols", "file-n", "path-graph-file", "file-n-grid", "p-with-p-grid", "n-with-n-grid",
+        "scenario-n-with-n-grid", "scenario-p-with-p-grid"])
+def test_fields_the_graph_or_grid_leaves_unread_exit_usage(capsys, tmp_path, argv, named):
+    # A graph kind reads only its own graph fields and a grid replaces its
+    # single point; a value the run would ignore is refused, not dropped.
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+    n_and_grid = tmp_path / "n.json"
+    n_and_grid.write_text(json.dumps({"graph": "path", "n": 5, "n_grid": "4:6"}))
+    p_and_grid = tmp_path / "p.json"
+    p_and_grid.write_text(json.dumps({"graph": "path", "p": 0.5, "p_grid": "0.97:0.97"}))
+    argv = [a.format(p4=p4, n_and_grid=n_and_grid, p_and_grid=p_and_grid) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and f"use {named} (" in err
+    code, out, _ = run(capsys, "compare-bepp", "--graph", "file", "--graph-file", str(p4), "--p-grid", "0.97:0.97")
+    assert code == EXIT_OK and out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(header: str) -> dict[str, list[list[str]]]:
+    """The README table under the given header row: first cell -> per other
+    cell, the backquoted names in it (or the bare cell)."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith(header))
+    rows = {}
+    for ln in lines[start + 2:]:
+        if not ln.startswith("|"):
+            break
+        first, *rest = (cell.strip() for cell in ln.strip("|").split("|"))
+        rows[first.strip("`")] = [re.findall(r"`([^`]+)`", cell) or [cell] for cell in rest]
+    return rows
+
+
+def test_readme_cli_tables_match_the_code():
+    # The README's command table and quantity table are the CLI's input
+    # contract for readers; they must say what READS and QUANTITIES say.
+    text = " ".join(README.read_text().split())
+    every = re.search(r"Every command reads (.*?); besides those:", text).group(1)
+    every = [flag.removeprefix("--").replace("-", "_") for flag in re.findall(r"`(--[a-z-]+)`", every)]
+    commands = _readme_table("| command")
+    assert set(commands) == set(READS)
+    for command, (flags,) in commands.items():
+        assert every + [flag.removeprefix("--").replace("-", "_") for flag in flags] == list(READS[command])
+    quantities = _readme_table("| quantity")
+    assert set(quantities) == set(QUANTITIES)
+    for name, (families, (tolerance,)) in quantities.items():
+        assert families == [f.value for f in QUANTITIES[name].families], name
+        assert float(tolerance) == QUANTITIES[name].tolerance, name
 
 
 @pytest.mark.parametrize("argv,path", [

@@ -74,10 +74,10 @@ def test_acceptance_branches_are_syndrome_matched(ghz3):
     for mu, nu in ((0, 0), (1, 1), (1, 0), (3, 1), (5, 4)):
         r1 = np.outer(basis[:, mu], basis[:, mu]).astype(np.complex128)
         r2 = np.outer(basis[:, nu], basis[:, nu]).astype(np.complex128)
-        _, p_succ = oracle.dense_p1(r1, r2, ghz3)
+        _, p_succ = oracle.dense_protocol_step(r1, r2, ghz3, which="P1")
         same_a = (mu ^ nu) & ghz3.a_mask == 0
         assert p_succ == pytest.approx(1.0 if same_a else 0.0, abs=1e-12)
-        _, p_succ2 = oracle.dense_p2(r1, r2, ghz3)
+        _, p_succ2 = oracle.dense_protocol_step(r1, r2, ghz3, which="P2")
         same_b = (mu ^ nu) & ghz3.b_mask == 0
         assert p_succ2 == pytest.approx(1.0 if same_b else 0.0, abs=1e-12)
 
@@ -87,7 +87,7 @@ def test_closed_form_cross_check(ghz3):
 
     s = rho_a_family(ghz3, 0.8)
     rho = oracle.diagonal_dense(ghz3, s.lam)
-    lam, p_succ = oracle.dense_p1(rho, rho, ghz3)
+    lam, p_succ = oracle.dense_protocol_step(rho, rho, ghz3, which="P1")
     want = rho_a_family(ghz3, 16.0 / 17.0).lam
     assert np.abs(lam - want).max() < 1e-12
     assert p_succ == pytest.approx(0.68, abs=1e-12)
