@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint
 from .graphs import Graph, GraphKind, standard_graph
-from .protocol import Protocol, StepFn, _RoundMeter, a_support_steps, standard_steps, trajectory
+from .protocol import ROUNDS_APPLIED, Protocol, StepFn, a_support_steps, standard_steps, trajectory
 from .states import (
     GDState,
     apply_pauli_channel,
@@ -42,33 +43,9 @@ class Family(Enum):
     RESTRICTED_BITFLIP = "restricted-bitflip"
 
 
-class Quantity(NamedTuple):
-    tolerance: float  # bracket half-width a threshold search stops at
-    families: tuple[Family, ...]  # the input families its search reads
-
-
-# The threshold quantities. f_max iterates from the pure target; it belongs
-# to rho-q and rho-x, whose searches climb to that P1P2 fixed point.
-QUANTITIES = {
-    "fmin": Quantity(1e-6, (Family.RHO_X, Family.RHO_A)),
-    "qmin": Quantity(1e-6, (Family.RHO_Q,)),
-    "pmin": Quantity(1e-4, (Family.RHO_Q, Family.RESTRICTED_BITFLIP)),
-    "fmax": Quantity(1e-9, (Family.RHO_Q, Family.RHO_X)),
-}
 # The families with an input state of their own: restricted-bitflip is the
 # rho-a input under B-vertex bit flips, a noise model only p_min reads.
 STATE_FAMILIES = (Family.RHO_Q, Family.RHO_X, Family.RHO_A)
-
-
-def _check_family(quantity: str, family: Family) -> Quantity:
-    """The quantity's table entry, refusing a family its search does not read."""
-    if quantity not in QUANTITIES:
-        raise BadParam(f"unknown quantity {quantity!r}")
-    entry = QUANTITIES[quantity]
-    if family not in entry.families:
-        names = ", ".join(f.value for f in entry.families)
-        raise BadParam(f"{quantity} is defined for {names}, got {family.value}")
-    return entry
 
 
 @dataclass(frozen=True)
@@ -123,11 +100,7 @@ def ra_map_closed_form(f: float, n_a: int) -> float:
 # fixed points
 
 
-def _fixed_point_full(
-    s0: GDState,
-    steps: list[tuple[str, StepFn]],
-    meter: _RoundMeter | None = None,
-) -> tuple[float, GDState]:
+def _fixed_point_full(s0: GDState, steps: list[tuple[str, StepFn]]) -> tuple[float, GDState]:
     """Stationary fidelity of the schedule map from s0, plus a late state.
 
     Runs whole periods; returns on a hard stall, or extrapolates the limit
@@ -142,7 +115,7 @@ def _fixed_point_full(
     ratio_prev = None
     limit_prev = None
     limit_found = None
-    for rnd in trajectory(s0, steps, 40000, STALL_EPS, meter, whole_periods=True):
+    for rnd in trajectory(s0, steps, 40000, STALL_EPS, whole_periods=True):
         state = rnd.state
         f = state.fidelity
         if rnd.below_floor:
@@ -177,21 +150,15 @@ def _fixed_point_full(
     return (float(limit_prev) if limit_prev is not None else f_prev), state
 
 
-def f_max(
-    g: Graph,
-    p: float,
-    f_m: float = 0.0,
-    schedule: tuple[Protocol, ...] = (Protocol.P1, Protocol.P2),
-    meter: _RoundMeter | None = None,
-) -> float:
-    """Stationary fidelity of the noisy alternating protocol, reached by
-    iterating from the pure target state. Returns 1.0 for perfect operations."""
+def f_max(g: Graph, p: float, schedule: tuple[Protocol, ...] = (Protocol.P1, Protocol.P2)) -> float:
+    """Stationary fidelity of the gate-noisy protocol with perfect
+    measurements, reached by iterating from the pure target state. Returns
+    1.0 for perfect operations."""
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
-    if p == 1.0 and f_m == 0.0:
+    if p == 1.0:
         return 1.0
-    steps = standard_steps(schedule, p, f_m)
-    return _fixed_point_full(pure_target(g), steps, meter=meter)[0]
+    return _fixed_point_full(pure_target(g), standard_steps(schedule, p, 0.0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +171,13 @@ def _climbs_to(
     target: float,
     reach_tol: float,
     r_max: int = 20000,
-    meter: _RoundMeter | None = None,
 ) -> bool:
     """True when the trajectory from s0 reaches within reach_tol of target,
     having either started there or strictly gained fidelity on the way."""
     f0 = s0.fidelity
     if f0 >= target - reach_tol:
         return True
-    for rnd in trajectory(s0, steps, r_max, STALL_EPS, meter, whole_periods=True):
+    for rnd in trajectory(s0, steps, r_max, STALL_EPS, whole_periods=True):
         f = rnd.state.fidelity
         if f >= target - reach_tol:
             return f >= f0 + GAIN_MARGIN
@@ -220,11 +186,7 @@ def _climbs_to(
     return False
 
 
-def _gains_and_holds(
-    s0: GDState,
-    steps: list[tuple[str, StepFn]],
-    meter: _RoundMeter | None = None,
-) -> bool:
+def _gains_and_holds(s0: GDState, steps: list[tuple[str, StepFn]]) -> bool:
     """True when the trajectory from s0 strictly gains fidelity and never
     turns back down before settling or exhausting the budget.
 
@@ -236,7 +198,7 @@ def _gains_and_holds(
     f0 = s0.fidelity
     prev = f0
     declines = 0
-    for rnd in trajectory(s0, steps, 6000, STALL_EPS, meter, whole_periods=True):
+    for rnd in trajectory(s0, steps, 6000, STALL_EPS, whole_periods=True):
         f = rnd.state.fidelity
         if rnd.below_floor or f < f0 - 1e-12:
             return False
@@ -315,77 +277,39 @@ def _family_state(g: Graph, family: Family, param: float) -> GDState:
     raise BadParam(f"{family.value} has no input state of its own")
 
 
-def _f_min_bracket(
-    g: Graph,
-    family: Family,
-    p: float,
-    tolerance: float,
-    meter: _RoundMeter | None,
+def _climb_bracket(
+    g: Graph, family: Family, p: float, tolerance: float, lo: float
 ) -> tuple[float, float, float]:
+    """Bisect the family parameter over [lo, 1] for the least member whose
+    trajectory climbs to the p-dependent stationary fidelity."""
     # Pure-B-support inputs carry information only in their A syndromes, so
     # only the A-information round is applied; the mirror round would spread
     # the A distribution instead of sharpening it.
     schedule = (Protocol.P1,) if family is Family.RHO_A else (Protocol.P1, Protocol.P2)
-    target = f_max(g, p, schedule=schedule, meter=meter)
+    target = f_max(g, p, schedule=schedule)
     steps = standard_steps(schedule, p, 0.0)
 
     def pred(param: float) -> bool:
-        return _climbs_to(_family_state(g, family, param), steps, target, 1e-6, meter=meter)
+        return _climbs_to(_family_state(g, family, param), steps, target, 1e-6)
 
-    value, lo, hi = _bisect(0.0, 1.0, pred, tolerance)
-    fid = lambda x: _family_state(g, family, x).fidelity
-    return fid(value), fid(lo), fid(hi)
+    return _bisect(lo, 1.0, pred, tolerance)
 
 
-def f_min(
-    g: Graph,
-    family: Family,
-    p: float,
-    tolerance: float = 1e-6,
-    meter: _RoundMeter | None = None,
-) -> float:
-    """Smallest input fidelity within the family that still purifies to the
-    p-dependent stationary fidelity. Bisects the family parameter and returns
-    the fidelity of the critical member."""
-    _check_family("fmin", family)
-    value, _, _ = _f_min_bracket(g, family, p, tolerance, meter)
-    return value
+def _f_min_search(g: Graph, family: Family, p: float, tolerance: float) -> tuple[float, float, float]:
+    """The climb bracket over the whole family, mapped to member fidelities."""
+    return tuple(_family_state(g, family, x).fidelity for x in _climb_bracket(g, family, p, tolerance, 0.0))
 
 
-def _q_min_bracket(
-    g: Graph, p: float, tolerance: float, meter: _RoundMeter | None
-) -> tuple[float, float, float]:
-    target = f_max(g, p, meter=meter)
-    steps = standard_steps((Protocol.P1, Protocol.P2), p, 0.0)
-
-    def pred(q: float) -> bool:
-        return _climbs_to(prepared_with_channel_noise(g, q), steps, target, 1e-6, meter=meter)
-
-    return _bisect(0.5, 1.0, pred, tolerance)
-
-
-def q_min(g: Graph, p: float, tolerance: float = 1e-6, meter: _RoundMeter | None = None) -> float:
-    """Smallest per-particle channel quality q whose output state purifies."""
-    value, _, _ = _q_min_bracket(g, p, tolerance, meter)
-    return value
-
-
-def _p_min_bracket(
-    g: Graph,
-    family: Family,
-    tolerance: float,
-    meter: _RoundMeter | None,
-) -> tuple[float, float, float]:
+def _p_min_search(g: Graph, family: Family, _p: float, tolerance: float) -> tuple[float, float, float]:
+    """Bisect p over [0.4, 1] for the least p at which some family member
+    still gains; the search picks its own p values."""
     if family is Family.RESTRICTED_BITFLIP:
         lo_f = 1.0 / (1 << g.n_a)
         grid = _low_biased_grid(lo_f, 1.0, P_MIN_GRID)
 
         def pred(p: float) -> bool:
             steps = a_support_steps(g, p)  # the state never leaves B-part 0
-            return any(
-                _gains_and_holds(rho_a_support(g, f), steps, meter=meter)
-                for f in grid
-            )
+            return any(_gains_and_holds(rho_a_support(g, f), steps) for f in grid)
 
     else:  # rho-q
         grid = np.linspace(0.9999, 0.5, P_MIN_GRID)  # descending: fast members first
@@ -393,7 +317,7 @@ def _p_min_bracket(
         def pred(p: float) -> bool:
             steps = standard_steps((Protocol.P1, Protocol.P2), p, 0.0)
             try:
-                target, settled = _fixed_point_full(pure_target(g), steps, meter=meter)
+                target, settled = _fixed_point_full(pure_target(g), steps)
             except NoFixedPoint:
                 return False
             if not _target_dominates(settled):
@@ -402,24 +326,74 @@ def _p_min_bracket(
                 s0 = prepared_with_channel_noise(g, q)
                 if s0.fidelity >= target - 1e-3:
                     continue  # already at the fixed point, not a gain witness
-                if _climbs_to(s0, steps, target, 1e-3, r_max=6000, meter=meter):
+                if _climbs_to(s0, steps, target, 1e-3, r_max=6000):
                     return True
             return False
 
     return _bisect(0.4, 1.0, pred, tolerance)
 
 
-def p_min(
-    g: Graph,
-    family: Family,
-    tolerance: float = 1e-4,
-    meter: _RoundMeter | None = None,
-) -> float:
-    """Smallest local-operation quality p for which some family member still
-    purifies, by bisection over p in [0.4, 1]."""
-    _check_family("pmin", family)
-    value, _, _ = _p_min_bracket(g, family, tolerance, meter)
-    return value
+def _f_max_search(g: Graph, family: Family, p: float, tolerance: float) -> tuple[float, float, float]:
+    value = f_max(g, p)
+    return value, value - tolerance, value + tolerance
+
+
+class Quantity(NamedTuple):
+    tolerance: float  # bracket half-width a threshold search stops at
+    families: tuple[Family, ...]  # the input families its search reads
+    reads_p: bool  # False when the search picks its own p
+    # (g, family, p, tolerance) -> (value, lo, hi)
+    search: Callable[[Graph, Family, float, float], tuple[float, float, float]]
+
+
+# The threshold quantities, and the one table threshold_report runs them
+# from. f_min is the least input fidelity within the family that still
+# purifies to the p-dependent stationary fidelity, q_min the least channel
+# quality q in [1/2, 1] whose output state does, p_min the least gate
+# quality at which some member still gains, and f_max that stationary
+# fidelity itself. f_max iterates from the pure target; it belongs to rho-q
+# and rho-x, whose searches climb to that P1P2 fixed point.
+QUANTITIES = {
+    "fmin": Quantity(1e-6, (Family.RHO_X, Family.RHO_A), True, _f_min_search),
+    "qmin": Quantity(1e-6, (Family.RHO_Q,), True, partial(_climb_bracket, lo=0.5)),
+    "pmin": Quantity(1e-4, (Family.RHO_Q, Family.RESTRICTED_BITFLIP), False, _p_min_search),
+    "fmax": Quantity(1e-9, (Family.RHO_Q, Family.RHO_X), True, _f_max_search),
+}
+
+
+def threshold_report(
+    g: Graph, family: Family, quantity: str, p: float = 1.0, tolerance: float | None = None
+) -> ThresholdReport:
+    """Run the quantity's search from QUANTITIES at its tolerance (or the
+    one given), refusing a family the search does not read and a p it does
+    not use. rounds_used counts every round a trajectory applied meanwhile."""
+    if quantity not in QUANTITIES:
+        raise BadParam(f"unknown quantity {quantity!r}")
+    entry = QUANTITIES[quantity]
+    if family not in entry.families:
+        names = ", ".join(f.value for f in entry.families)
+        raise BadParam(f"{quantity} is defined for {names}, got {family.value}")
+    if p != 1.0 and not entry.reads_p:
+        raise BadParam(f"{quantity} picks its own p; got p={p}")
+    tol = entry.tolerance if tolerance is None else tolerance
+    start = ROUNDS_APPLIED.get()
+    value, lo, hi = entry.search(g, family, p, tol)
+    return ThresholdReport(family.value, lo, hi, value, tol, ROUNDS_APPLIED.get() - start)
+
+
+def f_min(g: Graph, family: Family, p: float, tolerance: float | None = None) -> float:
+    """Smallest input fidelity within the family that still purifies."""
+    return threshold_report(g, family, "fmin", p, tolerance).value
+
+
+def q_min(g: Graph, p: float, tolerance: float | None = None) -> float:
+    """Smallest per-particle channel quality q whose output state purifies."""
+    return threshold_report(g, Family.RHO_Q, "qmin", p, tolerance).value
+
+
+def p_min(g: Graph, family: Family, tolerance: float | None = None) -> float:
+    """Smallest local-operation quality p for which some member still purifies."""
+    return threshold_report(g, family, "pmin", tolerance=tolerance).value
 
 
 def restricted_gain_region(n: int, p: float, tolerance: float = 1e-6) -> tuple[float, float]:
@@ -540,29 +514,3 @@ def bepp_bound(g: Graph, p: float) -> float:
     for v in range(1, g.n):
         s = apply_pauli_channel(s, v, probs)
     return s.fidelity
-
-
-# ---------------------------------------------------------------------------
-# report-producing wrapper used by the command-line front end
-
-
-def threshold_report(g: Graph, family: Family, quantity: str, p: float = 1.0) -> ThresholdReport:
-    tol = _check_family(quantity, family).tolerance
-    meter = _RoundMeter()
-    if quantity == "fmin":
-        value, lo, hi = _f_min_bracket(g, family, p, tol, meter)
-    elif quantity == "qmin":
-        value, lo, hi = _q_min_bracket(g, p, tol, meter)
-    elif quantity == "pmin":
-        value, lo, hi = _p_min_bracket(g, family, tol, meter)
-    else:  # fmax
-        value = f_max(g, p, meter=meter)
-        lo, hi = value - tol, value + tol
-    return ThresholdReport(
-        family=family.value,
-        lo=lo,
-        hi=hi,
-        value=value,
-        tolerance=tol,
-        rounds_used=meter.rounds,
-    )

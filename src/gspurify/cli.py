@@ -146,9 +146,22 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
     reads = READS[args.command]
     # Each field the run would not read, with what leaves it unread.
     unread = {key: args.command for key in asdict(sc) if key not in reads}
+    if "quantity" in reads:
+        if sc.quantity is None:
+            raise ParseError(f"{args.command} needs --quantity ({'|'.join(QUANTITIES)})")
+        families, reader = QUANTITIES[sc.quantity].families, f"--quantity {sc.quantity}"
+        if not QUANTITIES[sc.quantity].reads_p:
+            unread.update(dict.fromkeys(("p", "p_grid"), reader))
+    else:
+        families, reader = STATE_FAMILIES, args.command
+    if "family" in reads and Family(sc.family) not in families:
+        raise ParseError(f"{reader} reads --family {'|'.join(f.value for f in families)}, "
+                         f"got {sc.family!r}")
     for key in GRAPH_FIELDS:
         if key not in KIND_READS[sc.graph]:
             unread.setdefault(key, f"{args.command} --graph {sc.graph}")
+    if sc.graph == "grid" and sc.cols is not None:  # --rows and --cols fix the size
+        unread.setdefault("n_grid", f"{args.command} --graph grid with --cols")
     for grid, point in GRIDS.items():
         if grid not in unread and getattr(sc, grid) is not None:
             unread.setdefault(point, f"{args.command} with --{grid.replace('_', '-')}")
@@ -156,15 +169,6 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
         if getattr(sc, key) != getattr(default, key):
             raise ParseError(f"{reader} does not use --{key.replace('_', '-')} (scenario {key}): "
                              f"it must stay at {getattr(default, key)!r}, got {getattr(sc, key)!r}")
-    if "quantity" in reads:
-        if sc.quantity is None:
-            raise ParseError(f"{args.command} needs --quantity ({'|'.join(QUANTITIES)})")
-        families, reader = QUANTITIES[sc.quantity].families, f"--quantity {sc.quantity}"
-    else:
-        families, reader = STATE_FAMILIES, args.command
-    if "family" in reads and Family(sc.family) not in families:
-        raise ParseError(f"{reader} reads --family {'|'.join(f.value for f in families)}, "
-                         f"got {sc.family!r}")
     return sc
 
 
@@ -191,6 +195,9 @@ def _resolve_graph(sc: Scenario) -> Graph:
             if rows < 1 or sc.n % rows:
                 raise ParseError(f"grid of {rows} rows cannot hold n={sc.n} vertices; give --cols")
             cols = sc.n // rows
+        elif sc.n not in (Scenario.n, rows * cols):  # n may restate the grid's size
+            raise ParseError(f"a grid of {rows} rows and {cols} columns has {rows * cols} vertices, "
+                             f"not --n {sc.n}")
         dims = (rows, cols)
     else:
         dims = (sc.n,)

@@ -12,6 +12,7 @@ transform domain, so a full noisy step costs O(2^n * n).
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -296,11 +297,9 @@ def standard_steps(schedule: Sequence[Protocol], p: float, f_m: float) -> list[t
     return [(proto.value, lambda s, _fn=step[proto]: _fn(s, p, f_m)) for proto in schedule]
 
 
-class _RoundMeter:
-    """Counts recurrence rounds consumed by a search."""
-
-    def __init__(self):
-        self.rounds = 0
+# Every round any trajectory has applied in this thread. A search reports
+# the change over its run as its rounds_used.
+ROUNDS_APPLIED: ContextVar[int] = ContextVar("rounds_applied", default=0)
 
 
 class Round(NamedTuple):
@@ -319,7 +318,6 @@ def trajectory(
     steps: Sequence[tuple[str, StepFn]],
     r_max: int,
     tol: float,
-    meter: _RoundMeter | None = None,
     whole_periods: bool = False,
 ) -> Iterator[Round]:
     """Apply the labeled step functions cyclically from s0, at most r_max
@@ -331,6 +329,7 @@ def trajectory(
     periods run while fewer than r_max rounds have been applied. The caller
     decides which verdict ends the trajectory. s0 may also be an
     ASupportState stepped by a_support_steps; its graph sets the floor.
+    Each round applied is added to ROUNDS_APPLIED.
     """
     if not steps:
         raise BadParam("schedule must be nonempty")
@@ -344,8 +343,7 @@ def trajectory(
         result = fn(state)
         state = result.state
         r += 1
-        if meter is not None:
-            meter.rounds += 1
+        ROUNDS_APPLIED.set(ROUNDS_APPLIED.get() + 1)
         f = state.fidelity
         stalled = False
         if r % period == 0:

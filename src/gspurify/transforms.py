@@ -81,18 +81,6 @@ def parity_lookup(n: int, mask: int) -> np.ndarray:
     return out
 
 
-def xor_convolve(a: np.ndarray, b: np.ndarray, n: int, mask: int) -> np.ndarray:
-    """XOR convolution of a and b over the bits in mask (coincidence elsewhere).
-
-    out[g] = sum over (x, y) with x^y == g, x & ~mask == y & ~mask == g & ~mask
-    of a[x] * b[y] ... restricted so the unselected bits of x and y both equal
-    those of g.
-    """
-    fa = wht_bits(a, n, mask)
-    fb = wht_bits(b, n, mask)
-    return wht_bits(fa * fb, n, mask, inverse=True)
-
-
 def spread_submasks(mask: int) -> np.ndarray:
     """All 2^popcount(mask) submasks of mask, ordered so that the XOR of the
     i-th and j-th entries is the (i^j)-th entry (binary-counter order)."""

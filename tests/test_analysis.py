@@ -19,8 +19,8 @@ from gspurify.analysis import (
 )
 from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam
 from gspurify.graphs import GraphKind, standard_graph
-from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, p1_step
-from gspurify.states import rho_a_family
+from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, iterate, p1_step
+from gspurify.states import global_white, rho_a_family
 
 
 def test_closed_form_values():
@@ -110,6 +110,12 @@ def test_threshold_report_refuses_families_its_search_does_not_read(path4, quant
         threshold_report(path4, family, quantity, 0.97)
 
 
+def test_threshold_report_refuses_a_p_its_search_does_not_read(ghz3):
+    # p_min picks its own p values, so a given p would be ignored.
+    with pytest.raises(BadParam, match="pmin picks its own p"):
+        threshold_report(ghz3, Family.RESTRICTED_BITFLIP, "pmin", 0.5)
+
+
 @pytest.mark.parametrize("n,value,rounds_used", [
     (16, 0.5925537109375001, 2556),
     (20, 0.5820068359374999, 1743),
@@ -129,7 +135,7 @@ def test_multiplier_caches_hold_one_trajectory(path4):
     # An entry holds 2^N doubles and a sweep moves on to a new p, so the
     # caches keep only the current p (and the P1/P2 pair of flip multipliers).
     for p in (0.96, 0.97, 0.98, 0.99, 0.995):
-        f_max(path4, p, f_m=0.01)
+        iterate(global_white(path4, 0.9), p=p, f_m=0.01)
     assert _depolarize_multiplier.cache_info().currsize <= 1
     assert _measure_flip_multiplier.cache_info().currsize <= 2
 

@@ -316,6 +316,43 @@ def test_fields_the_graph_or_grid_leaves_unread_exit_usage(capsys, tmp_path, arg
     assert code == EXIT_OK and out
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("threshold", "--p", "0.5"), "--p"),
+    (("scan", "--p-grid", "0.5:0.7:0.1"), "--p-grid"),
+    (("threshold", "--scenario", "{p}"), "--p"),
+    (("scan", "--scenario", "{p_grid}"), "--p-grid"),
+], ids=["threshold-p", "scan-p-grid", "scenario-p", "scenario-p-grid"])
+def test_pmin_refuses_p(capsys, tmp_path, argv, named):
+    # p_min picks its own p values; a given p would be ignored, and a p grid
+    # would repeat one search per point.
+    for key, value in (("p", 0.5), ("p_grid", "0.5:0.7:0.1")):
+        (tmp_path / f"{key}.json").write_text(json.dumps({key: value}))
+    argv = [a.format(p=tmp_path / "p.json", p_grid=tmp_path / "p_grid.json") for a in argv]
+    code, out, err = run(capsys, *argv, "--graph", "ghz", "--n", "3", "--family", "restricted-bitflip",
+                         "--quantity", "pmin")
+    assert code == EXIT_USAGE
+    assert out == "" and f"--quantity pmin does not use {named} (" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("scan", "--n-grid", "4:6", "--quantity", "fmax", "--p", "1"), "--n-grid"),
+    (("compare-bepp", "--n", "10", "--p", "0.97"), "--n 10"),
+    (("compare-bepp", "--scenario", "{n10}", "--p", "0.97"), "--n 10"),
+], ids=["n-grid", "n", "scenario-n"])
+def test_grid_with_cols_refuses_other_sizes(capsys, tmp_path, argv, named):
+    # --rows and --cols fix the grid; --n may only restate its size.
+    n10 = tmp_path / "n10.json"
+    n10.write_text(json.dumps({"n": 10}))
+    argv = [a.format(n10=n10) for a in argv]
+    code, out, err = run(capsys, *argv, "--graph", "grid", "--rows", "2", "--cols", "3")
+    assert code == EXIT_USAGE
+    assert out == "" and named in err
+    scenario = tmp_path / "grid.json"
+    scenario.write_text(Scenario(graph="grid", n=6, rows=2, cols=3, p=0.97).to_json())
+    code, out, _ = run(capsys, "compare-bepp", "--scenario", str(scenario))
+    assert code == EXIT_OK and out
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -345,9 +382,10 @@ def test_readme_cli_tables_match_the_code():
         assert every + [flag.removeprefix("--").replace("-", "_") for flag in flags] == list(READS[command])
     quantities = _readme_table("| quantity")
     assert set(quantities) == set(QUANTITIES)
-    for name, (families, (tolerance,)) in quantities.items():
+    for name, (families, (tolerance,), (reads_p,)) in quantities.items():
         assert families == [f.value for f in QUANTITIES[name].families], name
         assert float(tolerance) == QUANTITIES[name].tolerance, name
+        assert reads_p == ("yes" if QUANTITIES[name].reads_p else "no"), name
 
 
 @pytest.mark.parametrize("argv,path", [

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from gspurify.transforms import (
-    bit_positions,
-    parity_lookup,
-    spread_submasks,
-    wht_bits,
-    xor_convolve,
-)
+from gspurify.protocol import _xor_cross_naive, _xor_square
+from gspurify.transforms import bit_positions, parity_lookup, spread_submasks, wht_bits
 
 
 def brute_wht(vec, n, mask):
@@ -62,9 +57,17 @@ def brute_xor_convolve(a, b, n, mask):
 
 @pytest.mark.parametrize("n,mask", [(3, 0b110), (4, 0b1010), (4, 0b1111)])
 def test_xor_convolve_matches_brute(rng, n, mask):
+    # The direct-sum cross convolution is the reference the round tests
+    # trust; it is checked here against the definition with a != b.
     a = rng.random(1 << n)
     b = rng.random(1 << n)
-    assert np.allclose(xor_convolve(a, b, n, mask), brute_xor_convolve(a, b, n, mask), atol=1e-12)
+    assert np.allclose(_xor_cross_naive(a, b, n, mask), brute_xor_convolve(a, b, n, mask), atol=1e-12)
+
+
+@pytest.mark.parametrize("n,mask", [(3, 0b110), (4, 0b1010), (4, 0b1111), (5, 0)])
+def test_xor_square_matches_brute(rng, n, mask):
+    a = rng.random(1 << n)
+    assert np.allclose(_xor_square(a, n, mask), brute_xor_convolve(a, a, n, mask), atol=1e-12)
 
 
 def test_spread_submasks_rank_xor():
