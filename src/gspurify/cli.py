@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or input-file problems (a graph of more than
 MAX_QUBITS vertices, an unreadable input file and an unwritable output path
 included), 3 numerical failures (bracket or zero-success conditions), 4
-oracle mismatch.
+oracle mismatch, 141 standard output closed before the output was written
+(as by `| head`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import typing
 from contextlib import contextmanager
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_ORACLE = 4
+EXIT_PIPE = 141  # standard output closed early; 128 + SIGPIPE, as shells report it
 # Errors in what the user gave; every other package error is numerical.
 USAGE_ERRORS = (ParseError, OddCycle, DuplicateEdge, InvalidParam, TooLarge)
 
@@ -73,29 +76,38 @@ class Scenario:
             raise ParseError(f"r-max={self.r_max} must be positive")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """The fields away from their defaults, as a JSON object: read back,
+        it gives the same scenario and sets no other field."""
+        default = asdict(Scenario())
+        fields = {key: value for key, value in asdict(self).items() if value != default[key]}
+        return json.dumps(fields, indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str, source: str = "<string>") -> "Scenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        if not isinstance(data, dict):
-            raise ParseError(f"{source}: a scenario must be a JSON object")
-        hints = typing.get_type_hints(Scenario)
-        unknown = set(data) - set(hints)
-        if unknown:
-            raise ParseError(f"{source}: unknown scenario keys {sorted(unknown)}")
-        for key, value in data.items():
-            allowed = typing.get_args(hints[key]) or (hints[key],)
-            if float in allowed:
-                allowed += (int,)  # a JSON number without a fraction reads as int
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ParseError(f"{source}: {key} must be {Scenario.__annotations__[key]}, got {value!r}")
-        sc = Scenario(**data)
+        sc = Scenario(**_scenario_fields(text, source))
         sc.validate()
         return sc
+
+
+def _scenario_fields(text: str, source: str) -> dict:
+    """The fields a scenario file sets, each of its field's JSON type."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{source}: a scenario must be a JSON object")
+    hints = typing.get_type_hints(Scenario)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ParseError(f"{source}: unknown scenario keys {sorted(unknown)}")
+    for key, value in data.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if float in allowed:
+            allowed += (int,)  # a JSON number without a fraction reads as int
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ParseError(f"{source}: {key} must be {Scenario.__annotations__[key]}, got {value!r}")
+    return data
 
 
 # The Scenario fields each command reads. The searches fix their own
@@ -116,6 +128,7 @@ KIND_READS = {"ghz": ("n", "n_grid"), "path": ("n", "n_grid"), "ring": ("n", "n_
               "grid": ("n", "n_grid", "rows", "cols"), "file": ("graph_file",)}
 # A grid, once set, replaces its single point.
 GRIDS = {"p_grid": "p", "n_grid": "n"}
+GRID_ROWS = 2  # the rows of a grid graph not given --rows
 
 
 @contextmanager
@@ -132,16 +145,20 @@ def _user_file(path: str, mode: str = "r", encoding: str = "utf-8"):
 def parse_scenario(args: argparse.Namespace) -> Scenario:
     """Build a Scenario from a file (if given) with flag overrides on top.
 
-    A field the command does not read must stay at its default, and the
-    family must be one the command (or its quantity) reads: a value the run
-    would ignore is refused rather than dropped silently.
+    A field is given when its flag is set or the file sets its key to a
+    value other than null. A given field the run would not read is refused
+    rather than dropped silently, and the family must be one the command
+    (or its quantity) reads.
     """
-    sc = default = Scenario()
+    default = Scenario()
+    fields = {}
     if args.scenario:
         with _user_file(args.scenario) as fh:
-            sc = Scenario.from_json(fh.read(), source=args.scenario)
-    flags = {key: getattr(args, key) for key in asdict(sc) if getattr(args, key, None) is not None}
-    sc = replace(sc, **flags)
+            fields = _scenario_fields(fh.read(), args.scenario)
+    fields.update((key, getattr(args, key, None)) for key in asdict(default)
+                  if getattr(args, key, None) is not None)
+    given = {key: value for key, value in fields.items() if value is not None}
+    sc = Scenario(**given)
     sc.validate()
     reads = READS[args.command]
     # Each field the run would not read, with what leaves it unread.
@@ -162,13 +179,21 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
             unread.setdefault(key, f"{args.command} --graph {sc.graph}")
     if sc.graph == "grid" and sc.cols is not None:  # --rows and --cols fix the size
         unread.setdefault("n_grid", f"{args.command} --graph grid with --cols")
+        rows = sc.rows if sc.rows is not None else GRID_ROWS
+        if "n" in given and sc.n != rows * sc.cols:  # --n may restate the size
+            raise ParseError(f"a grid of {rows} rows and {sc.cols} columns has {rows * sc.cols} vertices, "
+                             f"not --n {sc.n}")
     for grid, point in GRIDS.items():
         if grid not in unread and getattr(sc, grid) is not None:
             unread.setdefault(point, f"{args.command} with --{grid.replace('_', '-')}")
     for key, reader in unread.items():
-        if getattr(sc, key) != getattr(default, key):
+        # A field outside the command's READS may still be spelled at its
+        # default (`--f-m 0`, `--seed 0`); what its graph kind, quantity or
+        # grid leaves unread may not be given at all.
+        spelled_default = reader == args.command and getattr(sc, key) == getattr(default, key)
+        if key in given and not spelled_default:
             raise ParseError(f"{reader} does not use --{key.replace('_', '-')} (scenario {key}): "
-                             f"it must stay at {getattr(default, key)!r}, got {getattr(sc, key)!r}")
+                             f"leave it out, got {getattr(sc, key)!r}")
     return sc
 
 
@@ -189,15 +214,12 @@ def _resolve_graph(sc: Scenario) -> Graph:
         with _user_file(sc.graph_file, encoding="ascii") as fh:
             return parse_graph_text(fh.read(), source=sc.graph_file)
     if sc.graph == "grid":
-        rows = sc.rows if sc.rows is not None else 2
+        rows = sc.rows if sc.rows is not None else GRID_ROWS
         cols = sc.cols
         if cols is None:
             if rows < 1 or sc.n % rows:
                 raise ParseError(f"grid of {rows} rows cannot hold n={sc.n} vertices; give --cols")
             cols = sc.n // rows
-        elif sc.n not in (Scenario.n, rows * cols):  # n may restate the grid's size
-            raise ParseError(f"a grid of {rows} rows and {cols} columns has {rows * cols} vertices, "
-                             f"not --n {sc.n}")
         dims = (rows, cols)
     else:
         dims = (sc.n,)
@@ -279,10 +301,12 @@ def _cmd_threshold(args) -> int:
     label = sc.graph_file if sc.graph == "file" else sc.graph
     rows = [f"# gspurify {__version__} scan\n"] if args.command == "scan" else []
     rows.append("graph_kind,N,family,p,quantity,value,tolerance,rounds_used\n")
+    reads_p = QUANTITIES[sc.quantity].reads_p
     for g in graphs:
         for p in p_values:
             report = threshold_report(g, Family(sc.family), sc.quantity, p)
-            rows.append(f"{label},{g.n},{report.family},{FLOAT_FMT.format(p)},{sc.quantity},"
+            p_cell = FLOAT_FMT.format(p) if reads_p else ""  # the search picked its own p
+            rows.append(f"{label},{g.n},{report.family},{p_cell},{sc.quantity},"
                         f"{FLOAT_FMT.format(report.value)},{FLOAT_FMT.format(report.tolerance)},"
                         f"{report.rounds_used}\n")
     _emit("".join(rows), sc.out)
@@ -384,7 +408,15 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`| head`). Point stdout at /dev/null so that
+        # the flush at exit does not fail again, and stop quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

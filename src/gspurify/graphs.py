@@ -60,10 +60,6 @@ class Graph:
     def dim(self) -> int:
         return 1 << self.n
 
-    @property
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.neighbor_mask), default=0)
-
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Construct a Graph from an edge list, two-coloring it by BFS.

@@ -171,12 +171,6 @@ def dense_depolarizing(rho: np.ndarray, m: int, qubit: int, q: float) -> np.ndar
     return q * rho + (1.0 - q) * out.reshape(dim, dim)
 
 
-def dense_cnot(rho: np.ndarray, m: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << m)
-    f = idx ^ (((idx >> control) & 1) << target)
-    return apply_indexmap(rho, f)
-
-
 # ---------------------------------------------------------------------------
 # two-copy protocol circuit
 

@@ -6,7 +6,9 @@ with coincidence on the other, which the fast path evaluates with
 Walsh-Hadamard butterflies over the relevant bit subset. Gate noise
 (depolarizing every qubit of both copies before the perfect gate layer) and
 classical measurement-outcome flips both become pointwise multipliers in the
-transform domain, so a full noisy step costs O(2^n * n).
+transform domain. A round takes and returns the state as its spectrum (the
+transform over all n bits), so it transforms over its coincidence bits
+alone, O(2^n * |C|), and a trajectory transforms its input once.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import numpy as np
 
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
-from .states import ASupportState, GDState, PauliAxis, _depolarize_all, pauli_flip_mask
+from .states import ASupportState, GDState, PauliAxis, pauli_flip_mask
 from .transforms import bit_plane, parity_lookup, spread_submasks, wht_bits
-
-REL_NEG_TOL = 1e-12  # transform roundoff guard on unnormalized outputs
 
 
 class Protocol(Enum):
@@ -129,34 +129,13 @@ def _coincidence_mask(g: Graph, which: Protocol) -> int:
     return g.a_mask if which is Protocol.P1 else g.b_mask
 
 
-def _xor_square(lam: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
-    spectrum = wht_bits(lam, n, conv_mask)
-    return wht_bits(spectrum * spectrum, n, conv_mask, inverse=True)
-
-
-def _xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
-    """Direct-sum XOR cross-convolution of two vectors over conv_mask bits."""
-    full = (1 << n) - 1
-    coin_subs = spread_submasks(full ^ conv_mask)
-    conv_subs = spread_submasks(conv_mask)
-    ranks = np.arange(len(conv_subs))
-    out = np.zeros_like(a)
-    for base in coin_subs:
-        block_a = a[base + conv_subs]
-        block_b = b[base + conv_subs]
-        acc = np.zeros_like(block_a)
-        for i in range(len(conv_subs)):
-            acc[ranks ^ i] += block_a[i] * block_b
-        out[base + conv_subs] = acc
-    return out
-
-
 def xor_square_over_b(lam: np.ndarray, g: Graph) -> np.ndarray:
     """Unnormalized coefficient update of a perfect information-extraction
     round: XOR self-convolution over the B bits at fixed A-part."""
     if lam.shape != (g.dim,):
         raise BadParam(f"vector length {lam.shape} does not match n={g.n}")
-    return _xor_square(np.asarray(lam, dtype=np.float64), g.n, g.b_mask)
+    spectrum = wht_bits(np.asarray(lam, dtype=np.float64), g.n, g.b_mask)
+    return wht_bits(spectrum * spectrum, g.n, g.b_mask, inverse=True)
 
 
 def _check_noise(p: float, f_m: float) -> None:
@@ -166,76 +145,43 @@ def _check_noise(p: float, f_m: float) -> None:
         raise BadParam(f"measurement flip probability f_m={f_m} outside [0,1/2]")
 
 
-def _round_result(g: Graph, u: np.ndarray) -> StepResult:
-    """The tail every P1/P2 round shares: a finite, non-vanishing acceptance,
-    the roundoff floor on the unnormalized output u, and normalisation."""
-    p_succ = _acceptance(u)
-    floor = -REL_NEG_TOL * max(float(u.max()), 1e-30)
-    low = float(u.min())
-    if low < floor:
-        raise BadParam(f"unnormalized output coefficient {low} below roundoff floor")
-    np.maximum(u, 0.0, out=u)
-    return StepResult(GDState(g, u / p_succ), p_succ)
-
-
 def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepResult:
-    """One round in the transform domain, where gate noise and outcome flips
-    are pointwise multipliers."""
+    """One round on the state's spectrum, where gate noise and outcome flips
+    are pointwise multipliers.
+
+    With C the coincidence bits, the copies meet in the domain transformed
+    over every other bit: x = iWHT_C(spectrum * M), with M the gate-noise
+    multiplier (left out at p = 1), and its partner is x, or
+    iWHT_C(spectrum * M * F) with the flip multiplier F. WHT_C of their
+    product is the unnormalized output's spectrum, whose entry 0 is the
+    acceptance. A round thus transforms over C alone, three times at most.
+    """
     _check_noise(p, f_m)
     g = s.graph
-    n = g.n
     coin_mask = _coincidence_mask(g, which)
-    conv_mask = coin_mask ^ (g.dim - 1)
-    if p == 1.0 and f_m == 0.0:
-        return _round_result(g, _xor_square(s.lam, n, conv_mask))
-    spectrum = wht_bits(s.lam, n, g.dim - 1)
+    spectrum = s.spectrum
     if p < 1.0:
-        spectrum *= _depolarize_multiplier(g, p)
-    conv_side = wht_bits(spectrum, n, coin_mask, inverse=True)
-    partner = conv_side
+        spectrum = spectrum * _depolarize_multiplier(g, p)
+    x = wht_bits(spectrum, g.n, coin_mask, inverse=True)
     if f_m > 0.0:
-        partner = wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), n, coin_mask, inverse=True)
-    return _round_result(g, wht_bits(conv_side * partner, n, conv_mask, inverse=True))
+        x *= wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), g.n, coin_mask, inverse=True)
+    else:
+        x *= x
+    out = wht_bits(x, g.n, coin_mask)
+    p_succ = _acceptance(out[0])
+    out /= p_succ
+    return StepResult(GDState.from_spectrum(g, out), p_succ)
 
 
-def _reference_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepResult:
-    """The direct-sum round that tests compare p1_step and p2_step against:
-    depolarizing by index shuffles, then one XOR cross-convolution per
-    recorded flip pattern."""
-    _check_noise(p, f_m)
-    g = s.graph
-    conv_mask = _coincidence_mask(g, which) ^ (g.dim - 1)
-    lam = _depolarize_all(g, s.lam, p) if p < 1.0 else s.lam
-    u = np.zeros_like(lam)
-    idx = np.arange(g.dim)
-    for a, w in _flip_weights_by_pattern(g, f_m, which):
-        if w == 0.0:
-            continue
-        u += w * _xor_cross_naive(lam, lam[idx ^ a], g.n, conv_mask)
-    return _round_result(g, u)
-
-
-def _acceptance(u: np.ndarray) -> float:
+def _acceptance(total: float) -> float:
     """Success probability of a round: the sum of its unnormalized output,
     refused when it is not finite or vanishes."""
-    p_succ = float(u.sum())
+    p_succ = float(total)
     if not math.isfinite(p_succ):
         raise BadParam(f"acceptance probability {p_succ} is not finite")
     if p_succ < 1e-300:
         raise ZeroSuccess(f"acceptance probability {p_succ} vanished")
     return p_succ
-
-
-def _flip_weights_by_pattern(g: Graph, f_m: float, which: Protocol):
-    """Explicit (syndrome pattern, weight) pairs for the reference round,
-    composed by convolving the per-vertex flip kernels directly."""
-    w = np.zeros(g.dim)
-    w[0] = 1.0
-    idx = np.arange(g.dim)
-    for mask in _outcome_flip_masks(g, which):
-        w = (1.0 - f_m) * w + f_m * w[idx ^ mask]
-    for a in spread_submasks(_coincidence_mask(g, which)):
-        yield int(a), float(w[a])
 
 
 def p1_step(s: GDState, p: float = 1.0, f_m: float = 0.0) -> StepResult:
@@ -286,7 +232,7 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
             for perm in perms:
                 lam = keep * lam + flip * lam[perm]
         u = lam * lam
-        p_succ = _acceptance(u)
+        p_succ = _acceptance(u.sum())
         return StepResult(ASupportState(s.graph, u / p_succ), p_succ)
 
     return [(Protocol.P1.value, step)]

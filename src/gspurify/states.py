@@ -1,8 +1,9 @@
 """Graph-diagonal mixed states as coefficient vectors, plus Pauli noise channels.
 
 A state is a normalized vector of 2^n nonnegative coefficients indexed by the
-syndrome integer; the coefficient at index 0 is the fidelity with the target
-graph state. Every channel here acts as an XOR shuffle of probability mass
+syndrome integer (a protocol round's output holds its Walsh-Hadamard spectrum
+instead, see GDState); the coefficient at index 0 is the fidelity with the
+target graph state. Every channel here acts as an XOR shuffle of probability mass
 between indices, so trace is preserved exactly.
 """
 
@@ -12,15 +13,16 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import BadDistribution, BadParam, NegativeCoefficient
 from .graphs import Graph, syndrome_parts
-from .transforms import bit_positions, spread_submasks
+from .transforms import bit_positions, spread_submasks, wht_bits
 
 NEG_SLACK = 1e-15  # coefficients above -NEG_SLACK are clamped, below raise
+REL_NEG_TOL = 1e-12  # transform roundoff guard on coefficients read out of a spectrum
 NORM_TOL = 1e-12
 
 
@@ -30,17 +32,21 @@ class PauliAxis(Enum):
     Z = "Z"
 
 
-@dataclass(frozen=True)
 class GDState:
-    """A graph-diagonal state: graph reference plus its coefficient vector."""
+    """A graph-diagonal state: graph reference plus its coefficient vector.
 
-    graph: Graph
-    lam: np.ndarray
+    A state built from its coefficients lam is validated here. A state that
+    a protocol round produced holds its spectrum instead, the transform
+    WHT(lam) over all n bits (`from_spectrum`): rounds read and write the
+    spectrum, its fidelity is mean(spectrum), which is lam[0], and lam is
+    read out of it on first use. Either form is computed from the other at
+    most once.
+    """
 
-    def __post_init__(self):
-        vec = np.asarray(self.lam, dtype=np.float64)
-        if vec.shape != (self.graph.dim,):
-            raise BadParam(f"coefficient vector has shape {vec.shape}, expected ({self.graph.dim},)")
+    def __init__(self, graph: Graph, lam) -> None:
+        vec = np.asarray(lam, dtype=np.float64)
+        if vec.shape != (graph.dim,):
+            raise BadParam(f"coefficient vector has shape {vec.shape}, expected ({graph.dim},)")
         # One BLAS pass: the sum of squares is finite iff every entry is
         # finite and below 1e154, far above any probability weight.
         if not math.isfinite(vec.dot(vec)):
@@ -50,11 +56,37 @@ class GDState:
             raise NegativeCoefficient(f"coefficient {low} below -{NEG_SLACK}")
         if low < 0.0:
             vec = np.maximum(vec, 0.0)
-        object.__setattr__(self, "lam", vec)
+        self.graph = graph
+        self.lam = vec
+        self.fidelity = float(vec[0])
 
-    @property
-    def fidelity(self) -> float:
-        return float(self.lam[0])
+    @classmethod
+    def from_spectrum(cls, graph: Graph, spectrum: np.ndarray) -> "GDState":
+        """The state whose coefficients transform to spectrum, normalised so
+        that spectrum[0], the coefficient sum, is 1."""
+        state = cls.__new__(cls)
+        state.graph = graph
+        state.spectrum = spectrum
+        state.fidelity = float(spectrum.mean())
+        return state
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """WHT(lam) over all n bits; a trajectory transforms its input once."""
+        return wht_bits(self.lam, self.graph.n, self.graph.dim - 1)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The coefficients read out of the spectrum. Transform roundoff
+        leaves zero coefficients slightly off 0; they are clamped to 0, and
+        one below -REL_NEG_TOL times the largest is refused."""
+        g = self.graph
+        lam = wht_bits(self.spectrum, g.n, g.dim - 1, inverse=True)
+        low = float(lam.min())
+        if low < -REL_NEG_TOL * max(float(lam.max()), 1e-30):
+            raise BadParam(f"coefficient {low} below roundoff floor")
+        np.maximum(lam, 0.0, out=lam)
+        return lam
 
     def to_csv(self) -> str:
         """Nonzero coefficients as CSV rows: index, a_part, b_part, lambda."""
@@ -71,11 +103,6 @@ def pure_target(g: Graph) -> GDState:
     lam = np.zeros(g.dim)
     lam[0] = 1.0
     return GDState(g, lam)
-
-
-def uniform_state(g: Graph) -> GDState:
-    """The completely depolarized state: uniform weight on every syndrome."""
-    return GDState(g, np.full(g.dim, 1.0 / g.dim))
 
 
 def pauli_flip_mask(g: Graph, v: int, axis: PauliAxis) -> int:

@@ -1,0 +1,64 @@
+"""The direct-sum protocol round the tests compare p1_step and p2_step
+against: depolarizing by index shuffles, then one XOR cross-convolution per
+recorded flip pattern, in the coefficient domain throughout. It shares no
+code with the spectral round beyond the noise-range check, the flip masks
+and the acceptance test."""
+
+import numpy as np
+
+from gspurify.graphs import Graph
+from gspurify.protocol import (
+    Protocol,
+    StepResult,
+    _acceptance,
+    _check_noise,
+    _coincidence_mask,
+    _outcome_flip_masks,
+)
+from gspurify.states import GDState, _depolarize_all
+from gspurify.transforms import spread_submasks
+
+
+def xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
+    """Direct-sum XOR cross-convolution of two vectors over conv_mask bits."""
+    full = (1 << n) - 1
+    coin_subs = spread_submasks(full ^ conv_mask)
+    conv_subs = spread_submasks(conv_mask)
+    ranks = np.arange(len(conv_subs))
+    out = np.zeros_like(a)
+    for base in coin_subs:
+        block_a = a[base + conv_subs]
+        block_b = b[base + conv_subs]
+        acc = np.zeros_like(block_a)
+        for i in range(len(conv_subs)):
+            acc[ranks ^ i] += block_a[i] * block_b
+        out[base + conv_subs] = acc
+    return out
+
+
+def flip_weights_by_pattern(g: Graph, f_m: float, which: Protocol):
+    """Explicit (syndrome pattern, weight) pairs of the recorded-outcome
+    flips, composed by convolving the per-vertex flip kernels directly."""
+    w = np.zeros(g.dim)
+    w[0] = 1.0
+    idx = np.arange(g.dim)
+    for mask in _outcome_flip_masks(g, which):
+        w = (1.0 - f_m) * w + f_m * w[idx ^ mask]
+    for a in spread_submasks(_coincidence_mask(g, which)):
+        yield int(a), float(w[a])
+
+
+def reference_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepResult:
+    """One round by direct sums, normalised by its acceptance."""
+    _check_noise(p, f_m)
+    g = s.graph
+    conv_mask = _coincidence_mask(g, which) ^ (g.dim - 1)
+    lam = _depolarize_all(g, s.lam, p) if p < 1.0 else s.lam
+    u = np.zeros_like(lam)
+    idx = np.arange(g.dim)
+    for a, w in flip_weights_by_pattern(g, f_m, which):
+        if w == 0.0:
+            continue
+        u += w * xor_cross_naive(lam, lam[idx ^ a], g.n, conv_mask)
+    p_succ = _acceptance(u.sum())
+    return StepResult(GDState(g, u / p_succ), p_succ)

@@ -24,9 +24,10 @@ from gspurify.analysis import (
     restricted_gain_region,
 )
 from gspurify.graphs import GraphKind, standard_graph
-from gspurify.protocol import _xor_cross_naive, p1_step, xor_square_over_b
+from gspurify.protocol import p1_step, xor_square_over_b
 from gspurify.selfcheck import run_equivalence_suite
 from gspurify.states import prepared_with_channel_noise, rho_a_family
+from reference import xor_cross_naive
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -204,7 +205,7 @@ def test_criterion_09_performance():
                 lam = rng.random(g.dim)
                 lam /= lam.sum()  # the op's domain: state coefficient vectors
                 fast = xor_square_over_b(lam, g)
-                naive = _xor_cross_naive(lam, lam, g.n, g.b_mask)
+                naive = xor_cross_naive(lam, lam, g.n, g.b_mask)
                 worst = max(worst, float(np.abs(fast - naive).max()))
     agree_ok = worst <= 1e-12
 

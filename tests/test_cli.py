@@ -10,7 +10,7 @@ import pytest
 
 import gspurify
 from gspurify.analysis import QUANTITIES
-from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, READS, Scenario, run_command
+from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_PIPE, EXIT_USAGE, READS, Scenario, run_command
 from gspurify.errors import ParseError
 
 
@@ -439,3 +439,57 @@ def test_module_entry_point():
     assert lines[0] == "round,protocol,F_before,F_after,p_succ,cumulative_expected_cost"
     assert lines[1].startswith("1,P1,")
     assert "# verdict,max-rounds" in lines
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("compare-bepp", "--graph", "path", "--n", "4", "--p", "1", "--p-grid", "0.97:0.97"), "--p"),
+    (("compare-bepp", "--graph", "file", "--graph-file", "{p4}", "--n", "4"), "--n"),
+    (("compare-bepp", "--scenario", "{p_default_and_grid}"), "--p"),
+    (("compare-bepp", "--graph", "grid", "--rows", "2", "--cols", "3", "--n", "4", "--p", "0.97"), "--n 4"),
+], ids=["p-default-with-p-grid", "file-n-default", "scenario-p-default-with-p-grid", "grid-n-default"])
+def test_fields_given_at_their_default_are_refused_where_unread(capsys, tmp_path, argv, named):
+    # What a graph kind or a grid leaves unread is refused when given at
+    # all, also at the value the run would have had anyway.
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+    scenario = tmp_path / "p.json"
+    scenario.write_text(json.dumps({"graph": "path", "p": 1.0, "p_grid": "0.97:0.97"}))
+    argv = [a.format(p4=p4, p_default_and_grid=scenario) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and named in err
+
+
+def test_scenario_json_holds_only_what_it_sets():
+    sc = Scenario(graph="grid", n=6, rows=2, cols=3, p=0.97)
+    assert json.loads(sc.to_json()) == {"graph": "grid", "n": 6, "rows": 2, "cols": 3, "p": 0.97}
+    assert Scenario.from_json(sc.to_json()) == sc
+
+
+@pytest.mark.parametrize("command,quantity,p_cell", [
+    ("threshold", "pmin", ""),
+    ("scan", "pmin", ""),
+    ("threshold", "fmax", "0.97999999999999998"),
+])
+def test_threshold_rows_leave_p_empty_where_the_search_picks_p(capsys, command, quantity, p_cell):
+    family = "restricted-bitflip" if quantity == "pmin" else "rho-q"
+    p = () if quantity == "pmin" else ("--p", "0.98")
+    code, out, _ = run(capsys, command, "--graph", "ghz", "--n", "3", "--family", family, "--quantity", quantity, *p)
+    assert code == EXIT_OK
+    header, row = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["p"] == p_cell and cells["quantity"] == quantity
+
+
+def test_closed_stdout_exits_quietly():
+    # `gspurify ... | head` closes the pipe early; main stops without a
+    # traceback and with EXIT_PIPE.
+    src = str(Path(gspurify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "gspurify.cli", "oracle-check", "--quick"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the command writes anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert err == b""

@@ -63,7 +63,8 @@ def test_dense_ops_preserve_trace_and_hermiticity(path4, rng):
     rho = oracle.diagonal_dense(path4, lam / lam.sum())
     rho = oracle.dense_depolarizing(rho, 4, 1, 0.8)
     rho = oracle.dense_pauli_channel(rho, 4, 2, (0.7, 0.1, 0.1, 0.1))
-    rho = oracle.dense_cnot(rho, 4, 0, 3)
+    idx = np.arange(16)
+    rho = oracle.apply_indexmap(rho, idx ^ ((idx & 1) << 3))  # CNOT, control 0, target 3
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.abs(rho - rho.conj().T).max() < 1e-12
 

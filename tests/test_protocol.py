@@ -12,8 +12,6 @@ from gspurify.protocol import (
     _depolarize_multiplier,
     _measure_flip_multiplier,
     _outcome_flip_masks,
-    _reference_step,
-    _xor_cross_naive,
     a_support_steps,
     iterate,
     p1_step,
@@ -31,7 +29,8 @@ from gspurify.states import (
     pure_target,
     rho_a_family,
 )
-from gspurify.transforms import spread_submasks
+from gspurify.transforms import spread_submasks, wht_bits
+from reference import reference_step, xor_cross_naive
 
 
 def random_state(g, rng):
@@ -100,7 +99,7 @@ def test_fast_equals_naive(kind, n, rng):
         lam = rng.random(g.dim)
         lam /= lam.sum()
         fast = xor_square_over_b(lam, g)
-        naive = _xor_cross_naive(lam, lam, g.n, g.b_mask)
+        naive = xor_cross_naive(lam, lam, g.n, g.b_mask)
         assert np.abs(fast - naive).max() < 1e-12
 
 
@@ -109,7 +108,7 @@ def test_step_modes_agree_end_to_end(path4, rng, p, f_m):
     s = random_state(path4, rng)
     for step, which in ((p1_step, Protocol.P1), (p2_step, Protocol.P2)):
         fast = step(s, p, f_m)
-        naive = _reference_step(s, which, p, f_m)
+        naive = reference_step(s, which, p, f_m)
         assert np.abs(fast.state.lam - naive.state.lam).max() < 1e-12
         assert fast.p_succ == pytest.approx(naive.p_succ, abs=1e-12)
 
@@ -219,7 +218,7 @@ def test_non_finite_acceptance_rejected(path4):
     lam = s.lam.copy()
     lam[3] = np.nan
     object.__setattr__(s, "lam", lam)
-    for step in (p1_step, lambda s: _reference_step(s, Protocol.P1, 1.0, 0.0)):
+    for step in (p1_step, lambda s: reference_step(s, Protocol.P1, 1.0, 0.0)):
         with pytest.raises(BadParam, match="not finite"):
             step(s)
 
@@ -257,7 +256,7 @@ def test_transform_round_matches_reference(data):
     f_m = data.draw(st.floats(0.0, 0.5))
     for step, which in ((p1_step, Protocol.P1), (p2_step, Protocol.P2)):
         got = step(s, p, f_m)
-        want = _reference_step(s, which, p, f_m)
+        want = reference_step(s, which, p, f_m)
         assert np.abs(got.state.lam - want.state.lam).max() <= 1e-12
         assert abs(got.p_succ - want.p_succ) <= 1e-12
         for res in (got, want):
@@ -471,3 +470,54 @@ def test_a_support_step_checks(ring4):
         step(ASupportState(ring4, np.array([np.nan, 0.0, 0.0, 1.0])))
     with pytest.raises(ZeroSuccess):
         step(ASupportState(ring4, np.zeros(4)))
+
+
+def test_lam_read_from_a_spectrum_refuses_what_roundoff_cannot_explain(path4):
+    # A round's output holds its spectrum; the coefficients are read out of
+    # it once, where roundoff below 1e-12 of the largest is clamped to 0.
+    lam = np.full(path4.dim, 1.0 / (path4.dim - 1))
+    lam[5] = -1e-14
+    s = GDState.from_spectrum(path4, wht_bits(lam, path4.n, path4.dim - 1))
+    assert s.lam[5] == 0.0 and s.lam is s.lam
+    assert s.fidelity == pytest.approx(lam[0], abs=1e-16)
+    lam[5] = -2e-12 * lam.max()
+    bad = GDState.from_spectrum(path4, wht_bits(lam, path4.n, path4.dim - 1))
+    assert bad.fidelity == pytest.approx(lam[0], abs=1e-16)  # the spectrum alone still reads
+    with pytest.raises(BadParam, match="below roundoff floor"):
+        bad.lam
+    with pytest.raises(BadParam, match="below roundoff floor"):
+        bad.to_csv()
+
+
+def coefficient_domain_round(lam, g, which, p, f_m):
+    """One noisy round in the coefficient domain: a forward transform over
+    every bit, both inverse halves, and the floor, clamp and normalisation
+    on the coefficients."""
+    coin = g.a_mask if which is Protocol.P1 else g.b_mask
+    conv = coin ^ (g.dim - 1)
+    spectrum = wht_bits(lam, g.n, g.dim - 1) * _depolarize_multiplier(g, p)
+    x = wht_bits(spectrum, g.n, coin, inverse=True)
+    partner = wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), g.n, coin, inverse=True)
+    u = wht_bits(x * partner, g.n, conv, inverse=True)
+    p_succ = u.sum()
+    assert u.min() >= -1e-12 * u.max()
+    return np.maximum(u, 0.0) / p_succ, p_succ
+
+
+@pytest.mark.parametrize("kind,n,p", [(GraphKind.LINEAR_CLUSTER, 6, 0.97), (GraphKind.GHZ, 5, 0.98)])
+def test_long_noisy_runs_match_coefficient_domain_rounds(kind, n, p):
+    # Hundreds of rounds that never leave the spectrum agree with rounds
+    # that return to the coefficients each time: roundoff does not build up.
+    g = standard_graph(kind, n)
+    f_m = 0.01
+    s0 = prepared_with_channel_noise(g, 0.95)
+    tr = iterate(s0, (Protocol.P1, Protocol.P2), p, f_m, StopRule(eps=0.0, tol=0.0, r_max=520))
+    assert tr.verdict is Verdict.MAX_ROUNDS and len(tr.rows) == 520
+    lam = s0.lam
+    worst_f = worst_p = 0.0
+    for row in tr.rows:
+        lam, p_succ = coefficient_domain_round(lam, g, Protocol(row.protocol), p, f_m)
+        worst_f = max(worst_f, abs(row.f_after - lam[0]))
+        worst_p = max(worst_p, abs(row.p_succ - p_succ))
+    assert worst_f <= 1e-13 and worst_p <= 1e-13
+    assert np.abs(tr.final_state.lam - lam).max() <= 1e-13

@@ -18,7 +18,6 @@ from gspurify.states import (
     pure_target,
     rho_a_family,
     rho_a_support,
-    uniform_state,
 )
 
 
@@ -61,7 +60,7 @@ def test_identity_channel(ghz3, rng):
 
 
 def test_uniform_is_fixed(ghz4, rng):
-    s = uniform_state(ghz4)
+    s = GDState(ghz4, np.full(ghz4.dim, 1.0 / ghz4.dim))
     probs = rng.random(4)
     probs /= probs.sum()
     out = apply_pauli_channel(s, 2, tuple(probs))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gspurify.protocol import _xor_cross_naive, _xor_square
 from gspurify.transforms import bit_positions, parity_lookup, spread_submasks, wht_bits
+from reference import xor_cross_naive
 
 
 def brute_wht(vec, n, mask):
@@ -61,13 +61,16 @@ def test_xor_convolve_matches_brute(rng, n, mask):
     # trust; it is checked here against the definition with a != b.
     a = rng.random(1 << n)
     b = rng.random(1 << n)
-    assert np.allclose(_xor_cross_naive(a, b, n, mask), brute_xor_convolve(a, b, n, mask), atol=1e-12)
+    assert np.allclose(xor_cross_naive(a, b, n, mask), brute_xor_convolve(a, b, n, mask), atol=1e-12)
 
 
 @pytest.mark.parametrize("n,mask", [(3, 0b110), (4, 0b1010), (4, 0b1111), (5, 0)])
 def test_xor_square_matches_brute(rng, n, mask):
+    # An XOR self-convolution is the square of its spectrum over the mask bits.
     a = rng.random(1 << n)
-    assert np.allclose(_xor_square(a, n, mask), brute_xor_convolve(a, a, n, mask), atol=1e-12)
+    spectrum = wht_bits(a, n, mask)
+    square = wht_bits(spectrum * spectrum, n, mask, inverse=True)
+    assert np.allclose(square, brute_xor_convolve(a, a, n, mask), atol=1e-12)
 
 
 def test_spread_submasks_rank_xor():
