@@ -185,12 +185,24 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
 def _depolarize_all(g: Graph, lam: np.ndarray, q: float) -> np.ndarray:
     """Raw coefficients after a depolarizing pass of quality q on every
     vertex in turn, without a GDState per vertex: keep, then the X, Y and
-    Z images, as depolarizing_channel mixes them."""
+    Z images, as depolarizing_channel mixes them.
+
+    XOR with masks below 2^k keeps the support below 2^k, so every
+    coefficient above the highest bit that the input's support and the
+    masks so far reach is exactly 0: each vertex mixes only that prefix,
+    which is all of lam by the last vertex. The pure target's support is
+    index 0 alone; any other input is taken as reaching every bit."""
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
     r = (1.0 - q) / 4.0
+    k = g.n if lam[1:].any() else 0
+    lam = lam[: 1 << k]
     for v in range(g.n):
-        lam = _pauli_mix(lam, g.n, q + r, [(r, pauli_flip_mask(g, v, axis)) for axis in PauliAxis])
+        moves = [(r, pauli_flip_mask(g, v, axis)) for axis in PauliAxis]
+        k = max(k, *(mask.bit_length() for _, mask in moves))
+        if lam.size < 1 << k:
+            lam = np.concatenate((lam, np.zeros((1 << k) - lam.size)))
+        lam = _pauli_mix(lam, k, q + r, moves)
     return lam
 
 

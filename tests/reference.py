@@ -2,7 +2,11 @@
 against: depolarizing by index shuffles, then one XOR cross-convolution per
 recorded flip pattern, in the coefficient domain throughout. It shares no
 code with the spectral round beyond the noise-range check, the flip masks
-and the acceptance test."""
+and the acceptance test.
+
+Also here are the plain kernels the fast ones must match to the bit: the
+butterfly loop with no cache blocking, and the Pauli shuffle through 2^n
+index arrays instead of axis views."""
 
 import numpy as np
 
@@ -17,6 +21,41 @@ from gspurify.protocol import (
 )
 from gspurify.states import GDState, _depolarize_all
 from gspurify.transforms import spread_submasks
+
+
+def plain_wht(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.ndarray:
+    """Walsh-Hadamard transform over the bits of mask: one butterfly pass per
+    bit over the whole vector, in ascending bit order, as wht_bits computes
+    it below its blocking size."""
+    out = np.array(vec, dtype=np.float64, copy=True)
+    for b in range(n):
+        if mask >> b & 1:
+            pairs = out.reshape(-1, 2, 1 << b)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            diff = lo - hi
+            lo += hi
+            hi[...] = diff
+    if inverse:
+        out /= 1 << bin(mask).count("1")
+    return out
+
+
+def gather_mix(lam, p_keep, moves):
+    """p_keep * lam plus p * lam[i ^ mask] for each (p, mask), in the order
+    given and skipping p == 0: the channels' shuffle through 2^n index
+    arrays, independent of the library's view kernel."""
+    idx = np.arange(lam.size)
+    out = p_keep * lam
+    for p, mask in moves:
+        if p != 0.0:
+            out = out + p * lam[idx ^ mask]
+    return out
+
+
+def gather_vertex_moves(g, v, p_x, p_y, p_z):
+    """X toggles the neighbours' bits, Z the vertex's own, Y both."""
+    own, nbr = 1 << v, g.neighbor_mask[v]
+    return ((p_x, nbr), (p_y, own ^ nbr), (p_z, own))
 
 
 def xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from gspurify.states import (
     rho_a_family,
 )
 from gspurify.transforms import spread_submasks, wht_bits
-from reference import reference_step, xor_cross_naive
+from reference import gather_mix, gather_vertex_moves, reference_step, xor_cross_naive
 
 
 def random_state(g, rng):
@@ -315,24 +315,6 @@ def test_channels_and_rounds_conserve_trace(data):
     outputs += [p1_step(s, p, f_m).state, p2_step(s, p, f_m).state]
     for out in outputs:
         assert abs(out.lam.sum() - 1.0) <= 1e-12
-
-
-def gather_mix(lam, p_keep, moves):
-    """p_keep * lam plus p * lam[i ^ mask] for each (p, mask), in the order
-    given and skipping p == 0: the channels' shuffle through 2^n index
-    arrays, independent of the library's view kernel."""
-    idx = np.arange(lam.size)
-    out = p_keep * lam
-    for p, mask in moves:
-        if p != 0.0:
-            out = out + p * lam[idx ^ mask]
-    return out
-
-
-def gather_vertex_moves(g, v, p_x, p_y, p_z):
-    """X toggles the neighbours' bits, Z the vertex's own, Y both."""
-    own, nbr = 1 << v, g.neighbor_mask[v]
-    return ((p_x, nbr), (p_y, own ^ nbr), (p_z, own))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from gspurify.graphs import GraphKind, standard_graph
 from gspurify.states import (
     GDState,
     PauliAxis,
+    _depolarize_all,
     apply_pauli_channel,
     bitflip_b_noise,
     depolarizing_channel,
@@ -19,6 +20,8 @@ from gspurify.states import (
     rho_a_family,
     rho_a_support,
 )
+from gspurify.transforms import wht_bits
+from reference import gather_mix, gather_vertex_moves
 
 
 def test_pure_target(ghz3):
@@ -227,12 +230,16 @@ def test_multi_vertex_channels_match_per_vertex_chain(kind, n, rng):
 def test_channel_peak_memory_n18(rng):
     # A Pauli image is a view of the input, so one channel call holds the
     # output and one scaled image at a time: no 2^n index arrays or gathers.
+    # The input build also holds the prefix it mixes; the transform holds
+    # its output and at most one high pass's half vector of differences.
     g = standard_graph(GraphKind.LINEAR_CLUSTER, 18)
     lam = rng.random(g.dim)
     s = GDState(g, lam / lam.sum())
     vector = 8 * g.dim
     for call, bound in ((lambda: apply_pauli_channel(s, 7, (0.7, 0.1, 0.1, 0.1)), 2.1),
-                        (lambda: bitflip_b_noise(s, 0.8), 3.1)):
+                        (lambda: bitflip_b_noise(s, 0.8), 3.1),
+                        (lambda: prepared_with_channel_noise(g, 0.9), 3.1),
+                        (lambda: wht_bits(lam, g.n, g.dim - 1), 1.6)):
         call()  # warm the caches first
         tracemalloc.start()
         try:
@@ -241,6 +248,33 @@ def test_channel_peak_memory_n18(rng):
         finally:
             tracemalloc.stop()
         assert peak <= bound * vector, f"peak {peak / vector:.2f} x 2^n doubles"
+
+
+def depolarized_chain(g, lam, q):
+    """Every vertex's depolarizing mix over the full 2^n width, by gathers."""
+    r = (1.0 - q) / 4.0
+    for v in range(g.n):
+        lam = gather_mix(lam, q + r, gather_vertex_moves(g, v, r, r, r))
+    return lam
+
+
+@pytest.mark.parametrize("kind,dims", [(GraphKind.LINEAR_CLUSTER, (18,)), (GraphKind.GRID_CLUSTER, (3, 6)),
+                                       (GraphKind.CLOSED_CLUSTER, (18,)), (GraphKind.GHZ, (18,))],
+                         ids=["path-18", "grid-3x6", "ring-18", "ghz-18"])
+def test_channel_noise_input_matches_full_width_chain_n18(kind, dims):
+    # The build mixes only the prefix the masks so far reach; the rest must
+    # be the exact zeros a full-width chain leaves there.
+    g = standard_graph(kind, *dims)
+    for q in (0.9, 0.5):
+        want = depolarized_chain(g, pure_target(g).lam, q)
+        assert np.array_equal(prepared_with_channel_noise(g, q).lam, want)
+
+
+def test_depolarize_all_full_support_input_n18(rng):
+    # The reference round depolarizes a state whose support is everything.
+    g = standard_graph(GraphKind.GRID_CLUSTER, 3, 6)
+    lam = rng.random(g.dim)
+    assert np.array_equal(_depolarize_all(g, lam, 0.8), depolarized_chain(g, lam, 0.8))
 
 
 def test_rho_a_support_embeds_to_family(ring4):

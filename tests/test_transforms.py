@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gspurify.transforms import bit_positions, parity_lookup, spread_submasks, wht_bits
-from reference import xor_cross_naive
+from gspurify.transforms import WHT_BLOCK_BITS, bit_positions, parity_lookup, spread_submasks, wht_bits
+from reference import plain_wht, xor_cross_naive
 
 
 def brute_wht(vec, n, mask):
@@ -24,6 +24,18 @@ def test_bit_positions():
     assert bit_positions(0) == []
 
 
+def test_bit_positions_refuses_negative_mask():
+    with pytest.raises(ValueError, match="-1"):
+        bit_positions(-1)
+
+
+@pytest.mark.parametrize("mask", [0b10001, 1 << 3, -1])
+def test_wht_refuses_mask_beyond_n(mask):
+    # Refused before any pass runs, with the mask and n in the message.
+    with pytest.raises(ValueError, match=f"{mask:#b}.*n=3"):
+        wht_bits(np.ones(8), 3, mask)
+
+
 @pytest.mark.parametrize("n,mask", [(3, 0b111), (3, 0b101), (4, 0b0110), (5, 0b10011)])
 def test_wht_matches_character_sum(rng, n, mask):
     vec = rng.standard_normal(1 << n)
@@ -35,6 +47,20 @@ def test_wht_roundtrip(rng, n, mask):
     vec = rng.standard_normal(1 << n)
     back = wht_bits(wht_bits(vec, n, mask), n, mask, inverse=True)
     assert np.abs(back - vec).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [WHT_BLOCK_BITS + 1, WHT_BLOCK_BITS + 2, WHT_BLOCK_BITS + 3])
+def test_blocked_wht_matches_plain_loop(rng, n):
+    # Above the block size the low-bit passes run block by block before the
+    # high ones; every entry must still see the plain loop's sums in its order.
+    vec = rng.standard_normal(1 << n)
+    low = (1 << WHT_BLOCK_BITS) - 1
+    masks = [(1 << n) - 1, low, ((1 << n) - 1) ^ low, 0b110, 1 << (n - 1)]
+    masks += [int(m) for m in rng.integers(0, 1 << n, size=3)]
+    for mask in masks:
+        for inverse in (False, True):
+            want = plain_wht(vec, n, mask, inverse)
+            assert np.array_equal(wht_bits(vec, n, mask, inverse), want), (n, bin(mask), inverse)
 
 
 def test_wht_does_not_mutate_input(rng):
