@@ -9,11 +9,26 @@ pass per selected bit, O(2^n) work each.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
+
+
+def _as_mask(mask) -> int:
+    """mask as a plain int: numpy integers are accepted, a bool or a float
+    is refused with TypeError."""
+    if isinstance(mask, bool):
+        raise TypeError(f"mask {mask!r} is a bool, not an integer bit mask")
+    try:
+        return operator.index(mask)
+    except TypeError:
+        raise TypeError(f"mask {mask!r} is not an integer bit mask") from None
 
 
 def bit_positions(mask: int) -> list[int]:
     """Set-bit positions of mask, ascending."""
+    mask = _as_mask(mask)
     if mask < 0:
         raise ValueError(f"mask {mask} is negative")
     out = []
@@ -27,17 +42,71 @@ def bit_positions(mask: int) -> list[int]:
 WHT_BLOCK_BITS = 15  # 2^15 doubles (256 KiB) stay in L2 across the low-bit passes
 
 
+def _gather_index(order: list[int]) -> np.ndarray | None:
+    """For a layout whose memory bit t holds bit order[t] of the natural
+    index: the natural index of each memory position, read-only, or None
+    when the layout is the natural one."""
+    if order == list(range(len(order))):
+        return None
+    pos = np.arange(1 << len(order), dtype=np.intp)
+    idx = np.zeros_like(pos)
+    for t, b in enumerate(order):
+        idx |= (pos >> t & 1) << b
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _cg_layout(n: int, mask: int) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """Index arrays of the constant-geometry kernel on 2^n entries, and its
+    number of passes: (gather in, gather out, popcount(mask)).
+
+    The kernel pairs memory bit 0 in every pass and rotates the memory bits
+    right by one, so it starts from a layout with the bits of mask at the
+    bottom in ascending order, the others above them, and after k passes
+    ends rotated by k. Gathering with the first array puts an entry in the
+    start layout; gathering with the second puts the result in natural
+    order. Either is None where its layout is the natural one: a full mask
+    gathers nothing.
+    """
+    bits = bit_positions(mask)
+    start = bits + [b for b in range(n) if not mask >> b & 1]
+    end = start[len(bits):] + start[: len(bits)]
+    # natural bit b sits at memory bit end.index(b) after the last pass
+    return _gather_index(start), _gather_index([end.index(b) for b in range(n)]), len(bits)
+
+
+def _cg_kernel(src: np.ndarray, gather_in: np.ndarray | None, gather_out: np.ndarray | None,
+               k: int) -> np.ndarray:
+    """The transform of src over the k bits of its layout, as a new array.
+
+    Each pass reads memory bit 0 as its pair bit, lo, hi = x[0::2], x[1::2],
+    and writes lo + hi to the first half of the other buffer and lo - hi to
+    the second: one stride-2 read and two contiguous writes. src is never
+    written.
+    """
+    h = src.size >> 1
+    x = src if gather_in is None else src[gather_in]
+    y = np.empty(src.size)
+    for _ in range(k):
+        lo, hi = x[0::2], x[1::2]
+        np.add(lo, hi, y[:h])  # out= given by position: less call overhead
+        np.subtract(lo, hi, y[h:])
+        x, y = y, (x if x is not src else np.empty(src.size))
+    if x is src:
+        return src.copy()
+    return x if gather_out is None else x[gather_out]
+
+
 def _butterflies(out: np.ndarray, mask: int) -> None:
-    """The passes of wht_bits over the bits of mask, in place, in ascending
-    bit order. Rows of 2 or 4 entries (bits 1 and 2) are iterated along the
-    long axis instead: same sums, a fraction of the per-row loop cost."""
+    """The passes of wht_bits over the bits of mask across the whole array,
+    in place, in ascending bit order: the high bits above the block size,
+    whose rows hold at least 2^WHT_BLOCK_BITS entries."""
     for b in bit_positions(mask):
         pairs = out.reshape(-1, 2, 1 << b)  # [higher bits, bit b, lower bits]
         lo, hi = pairs[:, 0], pairs[:, 1]
-        if b in (1, 2):
-            lo, hi = lo.T, hi.T
-        diff = np.subtract(lo, hi, order="C")
-        np.add(lo, hi, out=lo, order="C")
+        diff = np.subtract(lo, hi)
+        np.add(lo, hi, out=lo)
         hi[...] = diff
         del diff  # a high pass's half-vector goes before the next one's comes
 
@@ -49,29 +118,28 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
     2^popcount(mask) so that wht_bits(wht_bits(v, n, m), n, m, inverse=True)
     round-trips exactly.
 
-    Above 2^WHT_BLOCK_BITS entries the passes over the low bits run one
-    contiguous block at a time, while it is in cache, and the passes over
+    The passes over the bits below WHT_BLOCK_BITS run in the constant-geometry
+    kernel `_cg_kernel`, one contiguous block of 2^WHT_BLOCK_BITS entries at
+    a time above that size, while the block is in cache; the passes over
     the high bits then run over the whole array. Every entry sees the same
-    sums in the same ascending bit order as the plain loop, so the output
-    is the same to the bit.
+    sums in the same ascending bit order as a plain pass-by-pass loop, so
+    the output is the same to the bit.
     """
+    mask = _as_mask(mask)
     if vec.shape != (1 << n,):
         raise ValueError(f"vector length {vec.shape} does not match n={n}")
     if mask >> n:
         raise ValueError(f"mask {mask:#b} selects bits outside 0..{n - 1} (n={n})")
-    out = np.array(vec, dtype=np.float64, copy=True)
-    if n <= WHT_BLOCK_BITS:
-        for b in bit_positions(mask):
-            pairs = out.reshape(-1, 2, 1 << b)  # [higher bits, bit b, lower bits]
-            lo, hi = pairs[:, 0], pairs[:, 1]
-            diff = lo - hi
-            lo += hi
-            hi[...] = diff
+    src = np.asarray(vec, dtype=np.float64)
+    m = min(n, WHT_BLOCK_BITS)
+    layout = _cg_layout(m, mask & ((1 << m) - 1))
+    if n == m:
+        out = _cg_kernel(src, *layout)
     else:
-        low = mask & ((1 << WHT_BLOCK_BITS) - 1)
-        for block in out.reshape(-1, 1 << WHT_BLOCK_BITS):
-            _butterflies(block, low)
-        _butterflies(out, mask ^ low)
+        out = np.empty(1 << n)
+        for block_in, block_out in zip(src.reshape(-1, 1 << m), out.reshape(-1, 1 << m)):
+            block_out[...] = _cg_kernel(block_in, *layout)
+        _butterflies(out, mask >> m << m)
     if inverse:
         out /= 1 << mask.bit_count()
     return out

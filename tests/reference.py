@@ -24,9 +24,10 @@ from gspurify.transforms import spread_submasks
 
 
 def plain_wht(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.ndarray:
-    """Walsh-Hadamard transform over the bits of mask: one butterfly pass per
-    bit over the whole vector, in ascending bit order, as wht_bits computes
-    it below its blocking size."""
+    """Walsh-Hadamard transform over the bits of mask: one in-place butterfly
+    pass per bit over the whole vector, in ascending bit order. wht_bits must
+    give the same sums in the same order, so its output is compared with
+    this one to the bit."""
     out = np.array(vec, dtype=np.float64, copy=True)
     for b in range(n):
         if mask >> b & 1:

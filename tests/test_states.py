@@ -20,7 +20,7 @@ from gspurify.states import (
     rho_a_family,
     rho_a_support,
 )
-from gspurify.transforms import wht_bits
+from gspurify.transforms import WHT_BLOCK_BITS, wht_bits
 from reference import gather_mix, gather_vertex_moves
 
 
@@ -231,7 +231,8 @@ def test_channel_peak_memory_n18(rng):
     # A Pauli image is a view of the input, so one channel call holds the
     # output and one scaled image at a time: no 2^n index arrays or gathers.
     # The input build also holds the prefix it mixes; the transform holds
-    # its output and at most one high pass's half vector of differences.
+    # its output, one block's buffers and at most one high pass's half
+    # vector of differences, whichever subset of bits it runs over.
     g = standard_graph(GraphKind.LINEAR_CLUSTER, 18)
     lam = rng.random(g.dim)
     s = GDState(g, lam / lam.sum())
@@ -239,7 +240,9 @@ def test_channel_peak_memory_n18(rng):
     for call, bound in ((lambda: apply_pauli_channel(s, 7, (0.7, 0.1, 0.1, 0.1)), 2.1),
                         (lambda: bitflip_b_noise(s, 0.8), 3.1),
                         (lambda: prepared_with_channel_noise(g, 0.9), 3.1),
-                        (lambda: wht_bits(lam, g.n, g.dim - 1), 1.6)):
+                        (lambda: wht_bits(lam, g.n, g.dim - 1), 1.6),
+                        (lambda: wht_bits(lam, g.n, g.a_mask), 1.6),
+                        (lambda: wht_bits(lam, g.n, (1 << WHT_BLOCK_BITS) - 1), 1.6)):
         call()  # warm the caches first
         tracemalloc.start()
         try:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gspurify.transforms import WHT_BLOCK_BITS, bit_positions, parity_lookup, spread_submasks, wht_bits
+from gspurify.transforms import WHT_BLOCK_BITS, _cg_layout, bit_positions, parity_lookup, spread_submasks, wht_bits
 from reference import plain_wht, xor_cross_naive
 
 
@@ -36,6 +36,26 @@ def test_wht_refuses_mask_beyond_n(mask):
         wht_bits(np.ones(8), 3, mask)
 
 
+@pytest.mark.parametrize("mask", [np.int64(5), np.uint8(5)], ids=["int64", "uint8"])
+def test_numpy_integer_masks(mask):
+    vec = np.arange(8.0)
+    assert bit_positions(mask) == [0, 2]
+    assert np.array_equal(wht_bits(vec, 3, mask), wht_bits(vec, 3, 5))
+    assert np.array_equal(parity_lookup(3, mask), parity_lookup(3, 5))
+    assert np.array_equal(spread_submasks(mask), spread_submasks(5))
+
+
+@pytest.mark.parametrize("mask", [True, 5.0], ids=["bool", "float"])
+def test_non_integer_masks_refused(mask):
+    # The mask is read before the vector: a wrong-length one still gives
+    # the mask's TypeError.
+    with pytest.raises(TypeError, match="mask"):
+        wht_bits(np.ones(5), 3, mask)
+    for call in (bit_positions, lambda m: parity_lookup(3, m), spread_submasks):
+        with pytest.raises(TypeError, match="mask"):
+            call(mask)
+
+
 @pytest.mark.parametrize("n,mask", [(3, 0b111), (3, 0b101), (4, 0b0110), (5, 0b10011)])
 def test_wht_matches_character_sum(rng, n, mask):
     vec = rng.standard_normal(1 << n)
@@ -61,6 +81,38 @@ def test_blocked_wht_matches_plain_loop(rng, n):
         for inverse in (False, True):
             want = plain_wht(vec, n, mask, inverse)
             assert np.array_equal(wht_bits(vec, n, mask, inverse), want), (n, bin(mask), inverse)
+
+
+@pytest.mark.parametrize("n", range(1, WHT_BLOCK_BITS + 1))
+def test_cg_kernel_matches_plain_loop(rng, n):
+    # At 2^15 entries and below every pass runs in the constant-geometry
+    # kernel; its sums must be the plain loop's, in its order, for any
+    # input wht_bits accepts, and the input must be left as it was.
+    full = (1 << n) - 1
+    masks = [0, full, 1, 1 << (n - 1), full >> (n // 2), full // 3]  # full // 3: alternate bits
+    masks += [int(m) for m in rng.integers(0, 1 << n, size=3)]
+    wide = rng.standard_normal(2 << n)
+    inputs = {"float64": wide[::2].copy(), "strided": wide[1::2],
+              "int64": rng.integers(-(1 << 62), 1 << 62, size=1 << n)}
+    for name, vec in inputs.items():
+        keep = vec.copy()
+        for mask in masks:
+            for inverse in (False, True):
+                want = plain_wht(vec, n, mask, inverse)
+                assert np.array_equal(wht_bits(vec, n, mask, inverse), want), (name, bin(mask), inverse)
+        assert np.array_equal(vec, keep), name
+
+
+def test_cg_layout_cache_limits():
+    # A bounded cache of read-only permutations; the full mask (every
+    # spectrum read-out) needs no gather at all.
+    assert 0 < _cg_layout.cache_info().maxsize <= 64
+    assert _cg_layout(10, (1 << 10) - 1) == (None, None, 10)
+    gather_in, gather_out, k = _cg_layout(10, 0b1010101010)
+    assert k == 5
+    for idx in (gather_in, gather_out):
+        assert idx.dtype == np.intp and not idx.flags.writeable
+        assert np.array_equal(np.sort(idx), np.arange(1 << 10))
 
 
 def test_wht_does_not_mutate_input(rng):
