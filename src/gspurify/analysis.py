@@ -34,6 +34,8 @@ from .states import (
 GAIN_MARGIN = 1e-9  # a member must beat its input fidelity by this much
 P_MIN_GRID = 64  # family members a p_min probe tries at each p
 STALL_EPS = 5e-14  # per-period fidelity change treated as a hard stall
+GAIN_EDGE_TOL = 5e-7  # bracket half-width a gain-region edge is returned at
+DEJMPS_ROUNDS = 20000  # round budget of the bipartite fixed point
 
 
 class Family(Enum):
@@ -396,7 +398,7 @@ def p_min(g: Graph, family: Family, tolerance: float | None = None) -> float:
     return threshold_report(g, family, "pmin", tolerance=tolerance).value
 
 
-def restricted_gain_region(n: int, p: float, tolerance: float = 1e-6) -> tuple[float, float]:
+def restricted_gain_region(n: int, p: float) -> tuple[float, float]:
     """Mixing-weight range where one restricted-noise round purifies the
     closed cluster of size n through its retained pure component.
 
@@ -429,24 +431,14 @@ def restricted_gain_region(n: int, p: float, tolerance: float = 1e-6) -> tuple[f
         return f_signal > x + (1.0 - x) * u0
 
     top = 1.0 - 1e-9
-    grid = np.geomspace(2.0 ** (-0.7 * n), top, 200)
-    flags = [gain(float(x)) for x in grid]
+    grid = np.geomspace(2.0 ** (-0.7 * n), top, 200).tolist()
+    flags = [gain(x) for x in grid]
     if not any(flags):
         raise EmptyRegion(f"no gain anywhere on the scan grid for n={n}, p={p}")
     first = flags.index(True)
     last = len(flags) - 1 - flags[::-1].index(True)
-
-    def edge(x_false: float, x_true: float) -> float:
-        while abs(x_true - x_false) > tolerance:
-            mid = 0.5 * (x_false + x_true)
-            if gain(mid):
-                x_true = mid
-            else:
-                x_false = mid
-        return 0.5 * (x_false + x_true)
-
-    x_lo = edge(float(grid[first - 1]), float(grid[first])) if first > 0 else float(grid[0])
-    x_hi = edge(float(grid[last + 1]), float(grid[last])) if last < len(grid) - 1 else top
+    x_lo = _bisect(grid[first - 1], grid[first], gain, GAIN_EDGE_TOL)[0] if first > 0 else grid[0]
+    x_hi = _bisect(grid[last], grid[last + 1], gain, GAIN_EDGE_TOL)[0] if last < len(grid) - 1 else top
     return x_lo, x_hi
 
 
@@ -483,11 +475,11 @@ def dejmps_step(b: BellDiag, p: float = 1.0) -> tuple[BellDiag, float]:
     return BellDiag(*(float(x) for x in out)), float(norm)
 
 
-def dejmps_fixed_point(p: float, start: BellDiag | None = None, r_max: int = 20000) -> BellDiag:
+def dejmps_fixed_point(p: float, start: BellDiag | None = None) -> BellDiag:
     """Attracting fixed point of the noisy bipartite recurrence."""
     b = start if start is not None else BellDiag(1.0, 0.0, 0.0, 0.0)
     prev = b.vec
-    for _ in range(r_max):
+    for _ in range(DEJMPS_ROUNDS):
         b, _ = dejmps_step(b, p)
         if np.abs(b.vec - prev).max() < 1e-15:
             return b

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .analysis import QUANTITIES, STATE_FAMILIES, Family, _family_state, bepp_bound, f_max, threshold_report
 from .errors import DuplicateEdge, GspurifyError, InvalidParam, OddCycle, ParseError, TooLarge
-from .graphs import MAX_QUBITS, Graph, parse_graph_text, standard_graph_by_name
+from .graphs import MAX_QUBITS, Graph, GraphKind, parse_graph_text, standard_graph
 from .protocol import Protocol, StopRule, iterate
 from .selfcheck import run_equivalence_suite
 
@@ -33,6 +33,7 @@ EXIT_PIPE = 141  # standard output closed early; 128 + SIGPIPE, as shells report
 USAGE_ERRORS = (ParseError, OddCycle, DuplicateEdge, InvalidParam, TooLarge)
 
 FLOAT_FMT = "{:.17g}"
+MAX_GRID_POINTS = 1000  # points a --p-grid or --n-grid may hold
 
 
 @dataclass
@@ -63,10 +64,17 @@ class Scenario:
             raise ParseError(f"unknown graph kind {self.graph!r}")
         if self.graph == "file" and not self.graph_file:
             raise ParseError("graph 'file' needs --graph-file")
-        if not 0.0 < self.p <= 1.0:
-            raise ParseError(f"p={self.p} outside (0,1]")
+        for p in self.p_values():  # each grid point as the single p
+            if not 0.0 < p <= 1.0:
+                raise ParseError(f"p={p} outside (0,1]")
         if not 0.0 <= self.f_m <= 0.5:
             raise ParseError(f"f-m={self.f_m} outside [0,1/2]")
+        if not 0.0 <= self.param <= 1.0:
+            raise ParseError(f"param={self.param} outside [0,1]")
+        if not 0.0 <= self.eps < 1.0:
+            raise ParseError(f"eps={self.eps} outside [0,1)")
+        if not 0.0 <= self.tol < math.inf:
+            raise ParseError(f"tol={self.tol} must be finite and nonnegative")
         if self.family not in {f.value for f in Family}:
             raise ParseError(f"unknown family {self.family!r}")
         if self.quantity is not None and self.quantity not in QUANTITIES:
@@ -74,6 +82,10 @@ class Scenario:
         _parse_schedule(self.schedule)
         if self.r_max < 1:
             raise ParseError(f"r-max={self.r_max} must be positive")
+
+    def p_values(self) -> list[float]:
+        """The points of the p grid, or the single p."""
+        return _parse_grid(self.p_grid, "p-grid") if self.p_grid else [self.p]
 
     def to_json(self) -> str:
         """The fields away from their defaults, as a JSON object: read back,
@@ -147,15 +159,14 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
 
     A field is given when its flag is set or the file sets its key to a
     value other than null. A given field the run would not read is refused
-    rather than dropped silently, and the family must be one the command
-    (or its quantity) reads.
+    rather than dropped silently, at any value, and the family must be one
+    the command (or its quantity) reads.
     """
-    default = Scenario()
     fields = {}
     if args.scenario:
         with _user_file(args.scenario) as fh:
             fields = _scenario_fields(fh.read(), args.scenario)
-    fields.update((key, getattr(args, key, None)) for key in asdict(default)
+    fields.update((key, getattr(args, key, None)) for key in asdict(Scenario())
                   if getattr(args, key, None) is not None)
     given = {key: value for key, value in fields.items() if value is not None}
     sc = Scenario(**given)
@@ -187,11 +198,7 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
         if grid not in unread and getattr(sc, grid) is not None:
             unread.setdefault(point, f"{args.command} with --{grid.replace('_', '-')}")
     for key, reader in unread.items():
-        # A field outside the command's READS may still be spelled at its
-        # default (`--f-m 0`, `--seed 0`); what its graph kind, quantity or
-        # grid leaves unread may not be given at all.
-        spelled_default = reader == args.command and getattr(sc, key) == getattr(default, key)
-        if key in given and not spelled_default:
+        if key in given:
             raise ParseError(f"{reader} does not use --{key.replace('_', '-')} (scenario {key}): "
                              f"leave it out, got {getattr(sc, key)!r}")
     return sc
@@ -226,10 +233,11 @@ def _resolve_graph(sc: Scenario) -> Graph:
     n = math.prod(dims)
     if n > MAX_QUBITS:
         raise TooLarge(f"{n} vertices exceed the limit of {MAX_QUBITS}: a state holds 2^N coefficients")
-    return standard_graph_by_name(sc.graph, *dims)
+    return standard_graph(GraphKind(sc.graph), *dims)
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
+    """lo, lo + step, ... up to hi; refused at its point past MAX_GRID_POINTS."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ParseError(f"--{name} must be lo:hi[:step], got {spec!r}")
@@ -238,11 +246,13 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         step = float(parts[2]) if len(parts) == 3 else (hi - lo) or 1.0
     except ValueError:
         raise ParseError(f"--{name}: non-numeric bound in {spec!r}") from None
-    if hi < lo or step <= 0:
+    if not (lo <= hi and step > 0):  # a NaN bound or step fails it too
         raise ParseError(f"--{name}: need lo <= hi and step > 0 in {spec!r}")
     grid = []
     x = lo
     while x <= hi + 1e-12:
+        if len(grid) == MAX_GRID_POINTS:
+            raise ParseError(f"--{name} {spec!r} holds more than {MAX_GRID_POINTS} points")
         grid.append(round(x, 12))
         x += step
     return grid
@@ -259,6 +269,8 @@ def _parse_int_grid(spec: str, name: str) -> list[int]:
         raise ParseError(f"--{name}: non-integer bound in {spec!r}") from None
     if hi < lo or step <= 0:
         raise ParseError(f"--{name}: need lo <= hi and step > 0 in {spec!r}")
+    if (hi - lo) // step >= MAX_GRID_POINTS:
+        raise ParseError(f"--{name} {spec!r} holds more than {MAX_GRID_POINTS} points")
     return list(range(lo, hi + 1, step))
 
 
@@ -296,7 +308,7 @@ def _cmd_threshold(args) -> int:
 
     sc = parse_scenario(args)
     n_values = _parse_int_grid(sc.n_grid, "n-grid") if sc.n_grid else [sc.n]
-    p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
+    p_values = sc.p_values()
     graphs = [_resolve_graph(replace(sc, n=n)) for n in n_values]
     label = sc.graph_file if sc.graph == "file" else sc.graph
     rows = [f"# gspurify {__version__} scan\n"] if args.command == "scan" else []
@@ -316,9 +328,8 @@ def _cmd_threshold(args) -> int:
 def _cmd_compare_bepp(args) -> int:
     sc = parse_scenario(args)
     g = _resolve_graph(sc)
-    p_values = _parse_grid(sc.p_grid, "p-grid") if sc.p_grid else [sc.p]
     rows = ["p,f_max_mepp,bepp_bound\n"]
-    for p in p_values:
+    for p in sc.p_values():
         fm = f_max(g, p)
         bb = bepp_bound(g, p)
         rows.append(f"{FLOAT_FMT.format(p)},{FLOAT_FMT.format(fm)},{FLOAT_FMT.format(bb)}\n")

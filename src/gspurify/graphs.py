@@ -204,14 +204,6 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def standard_graph_by_name(name: str, *dims: int) -> Graph:
-    """Resolve a CLI-style kind name ("ghz", "path", "ring", "grid")."""
-    for kind in GraphKind:
-        if kind.value == name:
-            return standard_graph(kind, *dims)
-    raise InvalidParam(f"unknown graph kind {name!r}")
-
-
 def relabeled(g: Graph, perm: Sequence[int]) -> Graph:
     """Rebuild g with vertex v renamed to perm[v] (testing helper)."""
     if sorted(perm) != list(range(g.n)):

@@ -28,6 +28,11 @@ from .states import (
 STEP_TOL = 1e-10
 CHANNEL_TOL = 1e-12
 OVERLAP_TOL = 1e-10
+STEP_P = (1.0, 0.95, 0.9)  # gate qualities the rounds are checked at
+STEP_F_M = (0.0, 0.02)  # measurement flip rates, at each of those
+BASIS_PAIRS = 20  # random (mu, nu) pairs per graph for the CNOT basis map
+RESTRICTED_STATES = 4  # random A-support states per graph
+RESTRICTED_P = (1.0, 0.8, 0.5)  # bit-flip qualities of the restricted round
 
 STANDARD_GRAPHS: tuple[tuple[str, GraphKind, int], ...] = (
     ("ghz-3", GraphKind.GHZ, 3),
@@ -57,12 +62,7 @@ def _random_diag_states(g: Graph, count: int, rng: np.random.Generator) -> list[
     return out
 
 
-def check_protocol_steps(
-    seed: int = 0,
-    states_per_graph: int = 50,
-    p_values: tuple[float, ...] = (1.0, 0.95, 0.9),
-    f_m_values: tuple[float, ...] = (0.0, 0.02),
-) -> list[CheckResult]:
+def check_protocol_steps(seed: int = 0, states_per_graph: int = 50) -> list[CheckResult]:
     """Both protocol rounds against the dense two-copy circuit, all graphs."""
     results = []
     for label, kind, n in STANDARD_GRAPHS:
@@ -72,8 +72,8 @@ def check_protocol_steps(
         worst = {"P1": 0.0, "P2": 0.0}
         for s in states:
             rho = oracle.diagonal_dense(g, s.lam)
-            for p in p_values:
-                for f_m in f_m_values:
+            for p in STEP_P:
+                for f_m in STEP_F_M:
                     for which, step in (("P1", p1_step), ("P2", p2_step)):
                         lam_d, ps_d = oracle.dense_protocol_step(rho, rho, g, p, f_m, which)
                         res = step(s, p, f_m)
@@ -125,7 +125,7 @@ def check_channels(seed: int = 0, states_per_graph: int = 20) -> list[CheckResul
     return results
 
 
-def check_basis_permutation(seed: int = 0, pairs_per_graph: int = 20) -> list[CheckResult]:
+def check_basis_permutation(seed: int = 0) -> list[CheckResult]:
     """The transversal CNOT layer permutes two-copy graph-basis states exactly
     as the index map; checked by overlap modulus."""
     results = []
@@ -133,7 +133,7 @@ def check_basis_permutation(seed: int = 0, pairs_per_graph: int = 20) -> list[Ch
         g = standard_graph(kind, n)
         rng = np.random.default_rng(seed + 2)
         worst = 0.0
-        for _ in range(pairs_per_graph):
+        for _ in range(BASIS_PAIRS):
             mu = int(rng.integers(0, g.dim))
             nu = int(rng.integers(0, g.dim))
             vec = oracle.two_copy_graph_basis_vector(g, mu, nu)
@@ -200,11 +200,7 @@ def check_state_constructions() -> list[CheckResult]:
     return results
 
 
-def check_restricted_support(
-    seed: int = 0,
-    states_per_graph: int = 4,
-    p_values: tuple[float, ...] = (1.0, 0.8, 0.5),
-) -> list[CheckResult]:
+def check_restricted_support(seed: int = 0) -> list[CheckResult]:
     """The restricted-model round on the A-support, embedded into the full
     space, against B-vertex bit flips followed by the full-space perfect P1
     round (itself checked against the dense oracle above)."""
@@ -213,10 +209,10 @@ def check_restricted_support(
         g = standard_graph(kind, n)
         rng = np.random.default_rng(seed + 3)
         worst = 0.0
-        for _ in range(states_per_graph):
+        for _ in range(RESTRICTED_STATES):
             lam = rng.random(1 << g.n_a)
             s = ASupportState(g, lam / lam.sum())
-            for p in p_values:
+            for p in RESTRICTED_P:
                 ((_, step),) = a_support_steps(g, p)
                 got = step(s)
                 want = p1_step(bitflip_b_noise(s.embedded(), p))

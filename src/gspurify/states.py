@@ -182,34 +182,27 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
     return apply_pauli_channel(s, v, (q + r, r, r, r))
 
 
-def _depolarize_all(g: Graph, lam: np.ndarray, q: float) -> np.ndarray:
-    """Raw coefficients after a depolarizing pass of quality q on every
-    vertex in turn, without a GDState per vertex: keep, then the X, Y and
-    Z images, as depolarizing_channel mixes them.
+def prepared_with_channel_noise(g: Graph, q: float) -> GDState:
+    """Target state after sending each particle through a depolarizing channel
+    of quality q (the per-particle transmission-noise input family).
 
-    XOR with masks below 2^k keeps the support below 2^k, so every
-    coefficient above the highest bit that the input's support and the
-    masks so far reach is exactly 0: each vertex mixes only that prefix,
-    which is all of lam by the last vertex. The pure target's support is
-    index 0 alone; any other input is taken as reaching every bit."""
+    Each vertex in turn mixes keep, then the X, Y and Z images, as
+    depolarizing_channel does, on raw coefficients. XOR with masks below 2^k
+    keeps the support below 2^k, so every coefficient above the highest bit
+    that the masks so far reach is exactly 0: the build starts from the
+    target's one coefficient and each vertex mixes only that prefix, which
+    is all 2^n coefficients by the last vertex."""
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
     r = (1.0 - q) / 4.0
-    k = g.n if lam[1:].any() else 0
-    lam = lam[: 1 << k]
+    lam, k = np.ones(1), 0
     for v in range(g.n):
         moves = [(r, pauli_flip_mask(g, v, axis)) for axis in PauliAxis]
         k = max(k, *(mask.bit_length() for _, mask in moves))
         if lam.size < 1 << k:
             lam = np.concatenate((lam, np.zeros((1 << k) - lam.size)))
         lam = _pauli_mix(lam, k, q + r, moves)
-    return lam
-
-
-def prepared_with_channel_noise(g: Graph, q: float) -> GDState:
-    """Target state after sending each particle through a depolarizing channel
-    of quality q (the per-particle transmission-noise input family)."""
-    return GDState(g, _depolarize_all(g, pure_target(g).lam, q))
+    return GDState(g, lam)
 
 
 def global_white(g: Graph, x: float) -> GDState:

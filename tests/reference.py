@@ -19,7 +19,7 @@ from gspurify.protocol import (
     _coincidence_mask,
     _outcome_flip_masks,
 )
-from gspurify.states import GDState, _depolarize_all
+from gspurify.states import GDState
 from gspurify.transforms import spread_submasks
 
 
@@ -59,6 +59,14 @@ def gather_vertex_moves(g, v, p_x, p_y, p_z):
     return ((p_x, nbr), (p_y, own ^ nbr), (p_z, own))
 
 
+def depolarized_chain(g, lam, q):
+    """Every vertex's depolarizing mix over the full 2^n width, by gathers."""
+    r = (1.0 - q) / 4.0
+    for v in range(g.n):
+        lam = gather_mix(lam, q + r, gather_vertex_moves(g, v, r, r, r))
+    return lam
+
+
 def xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.ndarray:
     """Direct-sum XOR cross-convolution of two vectors over conv_mask bits."""
     full = (1 << n) - 1
@@ -93,7 +101,7 @@ def reference_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepRes
     _check_noise(p, f_m)
     g = s.graph
     conv_mask = _coincidence_mask(g, which) ^ (g.dim - 1)
-    lam = _depolarize_all(g, s.lam, p) if p < 1.0 else s.lam
+    lam = depolarized_chain(g, s.lam, p) if p < 1.0 else s.lam
     u = np.zeros_like(lam)
     idx = np.arange(g.dim)
     for a, w in flip_weights_by_pattern(g, f_m, which):

@@ -151,6 +151,18 @@ def test_restricted_gain_region_examples():
         restricted_gain_region(8, 0.0)
 
 
+@pytest.mark.parametrize("n,edges", [
+    (8, (0.19637216343722996, 0.9233074967167263)),
+    (10, (0.10594242789286909, 0.9244107185098446)),
+    (12, (0.06082481079202045, 0.9189539522063659)),
+    (14, (0.03606747908005109, 0.9111349431499048)),
+])
+def test_restricted_gain_region_regression(n, edges):
+    # Criterion 04 checks only the edges' exponent windows; these exact
+    # floats pin the bisection's stop rule and midpoints as well.
+    assert restricted_gain_region(n, 0.8) == edges
+
+
 def test_dejmps_pure_fixed():
     b, p_succ = dejmps_step(BellDiag(1.0, 0.0, 0.0, 0.0), 1.0)
     assert b.a == 1.0 and p_succ == 1.0

@@ -51,8 +51,10 @@ def test_purify_refuses_seed(capsys, tmp_path, source):
     code, out, err = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", *given)
     assert code == EXIT_USAGE
     assert out == "" and "--seed" in err
-    code, out, _ = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", "--seed", "0")
-    assert code == EXIT_OK and out.startswith("round,")
+    # Also at its default: a field the run does not read is never given.
+    code, out, err = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", "--seed", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and "--seed" in err
 
 
 def test_threshold_restricted_ghz5(capsys):
@@ -184,14 +186,33 @@ def test_scenario_file_with_flag_override(capsys, tmp_path):
     assert "# expected_cost,1" in out.read_text()
 
 
-@pytest.mark.parametrize("argv", [
-    ("purify", "--graph", "path", "--n", "40"),
-    ("scan", "--graph", "path", "--n-grid", "4:40:36", "--quantity", "fmax", "--p", "1"),
-    ("threshold", "--graph", "file", "--graph-file", "{path25}", "--quantity", "fmax", "--p", "1"),
-    ("purify", "--graph", "grid", "--n", "7"),
-    ("purify", "--scenario", "{scenario}"),
-], ids=["n-cap", "n-grid-cap", "graph-file-cap", "grid-rows-mismatch", "scenario-field-type"])
-def test_bad_input_exits_usage(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv,named", [
+    (("purify", "--graph", "path", "--n", "40"), "exceed the limit"),
+    (("scan", "--graph", "path", "--n-grid", "4:40:36", "--quantity", "fmax", "--p", "1"), "exceed the limit"),
+    (("threshold", "--graph", "file", "--graph-file", "{path25}", "--quantity", "fmax", "--p", "1"),
+     "exceed the limit"),
+    (("purify", "--graph", "grid", "--n", "7"), "cannot hold"),
+    (("purify", "--scenario", "{scenario}"), "n must be int"),
+    (("purify", "--param", "1.5"), "param=1.5"),
+    (("purify", "--param", "-0.1"), "param=-0.1"),
+    (("purify", "--family", "rho-a", "--param", "nan"), "param=nan"),
+    (("purify", "--eps", "1.5"), "eps=1.5"),
+    (("purify", "--tol", "-1"), "tol=-1"),
+    (("purify", "--tol", "nan"), "tol=nan"),
+    (("purify", "--tol", "inf"), "tol=inf"),
+    (("compare-bepp", "--graph", "path", "--n", "4", "--p-grid", "0.98:1.2:0.1"), "p=1.08"),
+    (("scan", "--graph", "path", "--quantity", "fmax", "--p-grid", "0:0.5"), "p=0"),
+    # Long grids are refused before they are built further; unchecked, the
+    # first would hold 2e9 sizes and the second 5e11 p values.
+    (("scan", "--graph", "path", "--quantity", "fmax", "--p", "1", "--n-grid", "4:2000000000"),
+     "more than 1000 points"),
+    (("compare-bepp", "--graph", "path", "--n", "4", "--p-grid", "0.5:1:1e-12"), "more than 1000 points"),
+], ids=["n-cap", "n-grid-cap", "graph-file-cap", "grid-rows-mismatch", "scenario-field-type",
+        "param-above-1", "param-negative", "param-nan", "eps-above-1", "tol-negative", "tol-nan", "tol-inf",
+        "p-grid-above-1", "p-grid-at-0", "n-grid-huge", "p-grid-huge"])
+def test_bad_input_exits_usage(capsys, tmp_path, argv, named):
+    # Each is a usage error, refused before any state is built or any
+    # search runs; none is a numerical failure.
     path25 = tmp_path / "path25.txt"
     path25.write_text("25 24\n" + "".join(f"{k} {k + 1}\n" for k in range(24)))
     scenario = tmp_path / "sc.json"
@@ -200,7 +221,7 @@ def test_bad_input_exits_usage(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""  # refused before any scan row is computed
-    assert err.startswith("gspurify: ")
+    assert err.startswith("gspurify: ") and named in err
 
 
 @pytest.mark.parametrize("command", [
@@ -218,8 +239,10 @@ def test_measurement_flips_refused_outside_purify(capsys, tmp_path, command, sou
     code, out, err = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", *given)
     assert code == EXIT_USAGE
     assert out == "" and "--f-m" in err
-    code, out, _ = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", "--f-m", "0")
-    assert code == EXIT_OK and out
+    # Also at its default: these commands do not read a flip rate at all.
+    code, out, err = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", "--f-m", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and "--f-m" in err
 
 
 UNUSED_FLAGS = {  # flag -> (a non-default value, the same as a scenario, the default)
@@ -236,7 +259,8 @@ UNUSED_FLAGS = {  # flag -> (a non-default value, the same as a scenario, the de
 @pytest.mark.parametrize("source", ["flag", "scenario"])
 def test_unused_fields_refused_outside_purify(capsys, tmp_path, flag, source):
     # threshold, scan and compare-bepp fix their own schedule, stop rule,
-    # input state and seed; a value they would ignore is refused instead.
+    # input state and seed; a value they would ignore is refused instead,
+    # at the default as well as away from it.
     value, fields, default = UNUSED_FLAGS[flag]
     scenario = tmp_path / "sc.json"
     scenario.write_text(json.dumps(fields))
@@ -245,8 +269,9 @@ def test_unused_fields_refused_outside_purify(capsys, tmp_path, flag, source):
         code, out, err = run(capsys, *command, "--graph", "path", "--n", "4", "--p", "0.97", *given)
         assert code == EXIT_USAGE
         assert out == "" and flag in err
-    code, out, _ = run(capsys, "compare-bepp", "--graph", "path", "--n", "4", "--p", "0.97", flag, default)
-    assert code == EXIT_OK and out
+    code, out, err = run(capsys, "compare-bepp", "--graph", "path", "--n", "4", "--p", "0.97", flag, default)
+    assert code == EXIT_USAGE
+    assert out == "" and flag in err
 
 
 @pytest.mark.parametrize("argv,named", [

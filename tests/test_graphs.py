@@ -9,7 +9,6 @@ from gspurify.graphs import (
     parse_graph_text,
     relabeled,
     standard_graph,
-    standard_graph_by_name,
     syndrome_parts,
 )
 
@@ -165,12 +164,6 @@ def test_text_header_over_cap_refused_before_building():
         parse_graph_text(f"{MAX_QUBITS + 1} 0\n", source="g.txt")
     with pytest.raises(TooLarge):
         parse_graph_text("10000000 0\n")  # would take hours to build
-
-
-def test_kind_by_name():
-    assert standard_graph_by_name("ghz", 3) == standard_graph(GraphKind.GHZ, 3)
-    with pytest.raises(InvalidParam):
-        standard_graph_by_name("torus", 3)
 
 
 def test_graph_hashable_and_frozen(path4):

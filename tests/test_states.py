@@ -9,7 +9,6 @@ from gspurify.graphs import GraphKind, standard_graph
 from gspurify.states import (
     GDState,
     PauliAxis,
-    _depolarize_all,
     apply_pauli_channel,
     bitflip_b_noise,
     depolarizing_channel,
@@ -21,7 +20,7 @@ from gspurify.states import (
     rho_a_support,
 )
 from gspurify.transforms import WHT_BLOCK_BITS, wht_bits
-from reference import gather_mix, gather_vertex_moves
+from reference import depolarized_chain
 
 
 def test_pure_target(ghz3):
@@ -253,14 +252,6 @@ def test_channel_peak_memory_n18(rng):
         assert peak <= bound * vector, f"peak {peak / vector:.2f} x 2^n doubles"
 
 
-def depolarized_chain(g, lam, q):
-    """Every vertex's depolarizing mix over the full 2^n width, by gathers."""
-    r = (1.0 - q) / 4.0
-    for v in range(g.n):
-        lam = gather_mix(lam, q + r, gather_vertex_moves(g, v, r, r, r))
-    return lam
-
-
 @pytest.mark.parametrize("kind,dims", [(GraphKind.LINEAR_CLUSTER, (18,)), (GraphKind.GRID_CLUSTER, (3, 6)),
                                        (GraphKind.CLOSED_CLUSTER, (18,)), (GraphKind.GHZ, (18,))],
                          ids=["path-18", "grid-3x6", "ring-18", "ghz-18"])
@@ -271,13 +262,6 @@ def test_channel_noise_input_matches_full_width_chain_n18(kind, dims):
     for q in (0.9, 0.5):
         want = depolarized_chain(g, pure_target(g).lam, q)
         assert np.array_equal(prepared_with_channel_noise(g, q).lam, want)
-
-
-def test_depolarize_all_full_support_input_n18(rng):
-    # The reference round depolarizes a state whose support is everything.
-    g = standard_graph(GraphKind.GRID_CLUSTER, 3, 6)
-    lam = rng.random(g.dim)
-    assert np.array_equal(_depolarize_all(g, lam, 0.8), depolarized_chain(g, lam, 0.8))
 
 
 def test_rho_a_support_embeds_to_family(ring4):
