@@ -34,6 +34,7 @@ USAGE_ERRORS = (ParseError, OddCycle, DuplicateEdge, InvalidParam, TooLarge)
 
 FLOAT_FMT = "{:.17g}"
 MAX_GRID_POINTS = 1000  # points a --p-grid or --n-grid may hold
+MAX_ROUNDS = 100_000  # a purify trace keeps one row per round
 
 
 @dataclass
@@ -80,8 +81,8 @@ class Scenario:
         if self.quantity is not None and self.quantity not in QUANTITIES:
             raise ParseError(f"unknown quantity {self.quantity!r}")
         _parse_schedule(self.schedule)
-        if self.r_max < 1:
-            raise ParseError(f"r-max={self.r_max} must be positive")
+        if not 1 <= self.r_max <= MAX_ROUNDS:
+            raise ParseError(f"r-max={self.r_max} outside [1,{MAX_ROUNDS}]")
 
     def p_values(self) -> list[float]:
         """The points of the p grid, or the single p."""
@@ -338,8 +339,9 @@ def _cmd_compare_bepp(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    results = run_equivalence_suite(seed=args.seed if args.seed is not None else 0,
-                                    full=not args.quick)
+    if args.seed < 0:
+        raise ParseError(f"seed={args.seed} must be nonnegative")
+    results = run_equivalence_suite(seed=args.seed, full=not args.quick)
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:

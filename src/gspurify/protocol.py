@@ -100,7 +100,9 @@ def _depolarize_multiplier(g: Graph, q: float) -> np.ndarray:
     violated = np.zeros(g.dim, dtype=np.uint8)
     for v in range(g.n):
         violated += bit_plane(g.n, v) | parity_lookup(g.n, g.neighbor_mask[v])
-    return np.float_power(q, np.arange(g.n + 1))[violated]
+    mult = np.float_power(q, np.arange(g.n + 1))[violated]
+    mult.setflags(write=False)
+    return mult
 
 
 @lru_cache(maxsize=2)  # P1 and P2 alternate within one trajectory
@@ -112,6 +114,7 @@ def _measure_flip_multiplier(g: Graph, f_m: float, which: Protocol) -> np.ndarra
     mult = np.ones(g.dim)
     for mask in _outcome_flip_masks(g, which):
         mult *= np.where(parity_lookup(g.n, mask), keep - f_m, keep + f_m)
+    mult.setflags(write=False)
     return mult
 
 

@@ -56,6 +56,22 @@ def test_bisect_finds_step():
     assert hi - lo <= 2e-8
 
 
+def test_bisect_judges_each_point_once():
+    seen = []
+
+    def pred(x):
+        seen.append(x)
+        return x > 0.371
+
+    value, lo, hi = _bisect(0.0, 1.0, pred, 1e-8)
+    assert len(seen) == len(set(seen))
+    halvings = 26  # 2^-26 is the first halving of [0, 1] within 2 tol = 2e-8
+    assert hi - lo == 2.0 ** -halvings
+    assert len(seen) == 2 + halvings
+    assert (value, lo, hi) == _bisect(0.0, 1.0, lambda x: x > 0.371, 1e-8)
+    assert abs(value - 0.371) < 1e-7
+
+
 def test_f_max_perfect_and_identical_graphs():
     g2a = standard_graph(GraphKind.GHZ, 2)
     g2b = standard_graph(GraphKind.LINEAR_CLUSTER, 2)
@@ -117,9 +133,9 @@ def test_threshold_report_refuses_a_p_its_search_does_not_read(ghz3):
 
 
 @pytest.mark.parametrize("n,value,rounds_used", [
-    (16, 0.5925537109375001, 2556),
-    (20, 0.5820068359374999, 1743),
-    (24, 0.5869873046875, 1496),
+    (16, 0.5925537109375001, 2151),
+    (20, 0.5820068359374999, 1467),
+    (24, 0.5869873046875, 1267),
 ])
 def test_restricted_p_min_reaches_large_rings(n, value, rounds_used):
     # The restricted search steps a 2^(n/2) A-support vector, so rings whose
@@ -223,21 +239,21 @@ def test_bepp_bound(path4):
 # restricted p_min only; criterion 04 keeps its own window.
 @pytest.mark.parametrize("kind,n,family,quantity,p,want", [
     (GraphKind.GHZ, 4, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
-     (0.7936767578124999, 0.793603515625, 0.79375, 13181)),
+     (0.7936767578124999, 0.793603515625, 0.79375, 7117)),
     (GraphKind.GHZ, 5, Family.RHO_Q, "pmin", 1.0,
-     (0.9669677734375002, 0.9668945312500001, 0.9670410156250001, 2256)),
+     (0.9669677734375002, 0.9668945312500001, 0.9670410156250001, 1530)),
     (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "qmin", 0.99,
-     (0.6716089248657227, 0.6716079711914062, 0.6716098785400391, 984)),
+     (0.6716089248657227, 0.6716079711914062, 0.6716098785400391, 846)),
     (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "fmax", 0.97,
      (0.9237740042879217, 0.9237740032879217, 0.9237740052879216, 22)),
     (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_X, "fmin", 0.99,
-     (0.2791607975959778, 0.27915990352630615, 0.2791616916656494, 894)),
+     (0.2791607975959778, 0.27915990352630615, 0.2791616916656494, 772)),
     (GraphKind.GHZ, 3, Family.RHO_A, "fmin", 1.0,
-     (0.5000009536743164, 0.5, 0.5000019073486328, 249)),
+     (0.5000009536743164, 0.5, 0.5000019073486328, 227)),
     (GraphKind.CLOSED_CLUSTER, 6, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
-     (0.6813232421875, 0.6812499999999999, 0.6813964843749999, 18890)),
+     (0.6813232421875, 0.6812499999999999, 0.6813964843749999, 15136)),
     (GraphKind.CLOSED_CLUSTER, 12, Family.RESTRICTED_BITFLIP, "pmin", 1.0,
-     (0.6140869140625, 0.614013671875, 0.6141601562500001, 5139)),
+     (0.6140869140625, 0.614013671875, 0.6141601562500001, 3614)),
 ], ids=["ghz4-restricted-pmin", "ghz5-rho-q-pmin", "path4-qmin", "path4-fmax", "path4-rho-x-fmin",
         "ghz3-rho-a-fmin", "ring6-restricted-pmin", "ring12-restricted-pmin"])
 def test_threshold_report_invariants(kind, n, family, quantity, p, want):

@@ -10,7 +10,17 @@ import pytest
 
 import gspurify
 from gspurify.analysis import QUANTITIES
-from gspurify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_PIPE, EXIT_USAGE, READS, Scenario, run_command
+from gspurify.cli import (
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_ORACLE,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    MAX_ROUNDS,
+    READS,
+    Scenario,
+    run_command,
+)
 from gspurify.errors import ParseError
 
 
@@ -207,9 +217,11 @@ def test_scenario_file_with_flag_override(capsys, tmp_path):
     (("scan", "--graph", "path", "--quantity", "fmax", "--p", "1", "--n-grid", "4:2000000000"),
      "more than 1000 points"),
     (("compare-bepp", "--graph", "path", "--n", "4", "--p-grid", "0.5:1:1e-12"), "more than 1000 points"),
+    # default_rng refuses a negative seed; refused here before any check runs.
+    (("oracle-check", "--seed", "-1"), "seed=-1"),
 ], ids=["n-cap", "n-grid-cap", "graph-file-cap", "grid-rows-mismatch", "scenario-field-type",
         "param-above-1", "param-negative", "param-nan", "eps-above-1", "tol-negative", "tol-nan", "tol-inf",
-        "p-grid-above-1", "p-grid-at-0", "n-grid-huge", "p-grid-huge"])
+        "p-grid-above-1", "p-grid-at-0", "n-grid-huge", "p-grid-huge", "oracle-seed-negative"])
 def test_bad_input_exits_usage(capsys, tmp_path, argv, named):
     # Each is a usage error, refused before any state is built or any
     # search runs; none is a numerical failure.
@@ -222,6 +234,20 @@ def test_bad_input_exits_usage(capsys, tmp_path, argv, named):
     assert code == EXIT_USAGE
     assert out == ""  # refused before any scan row is computed
     assert err.startswith("gspurify: ") and named in err
+
+
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_r_max_capped(capsys, tmp_path, source):
+    # A purify trace keeps one row per round, so the round budget is bounded:
+    # with --tol 0 an unbounded --r-max grows the trace until memory runs out.
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps({"r_max": MAX_ROUNDS + 1}))
+    given = ("--r-max", str(MAX_ROUNDS + 1)) if source == "flag" else ("--scenario", str(scenario))
+    code, out, err = run(capsys, "purify", "--graph", "path", "--n", "4", "--tol", "0", *given)
+    assert code == EXIT_USAGE
+    assert out == "" and f"r-max={MAX_ROUNDS + 1}" in err
+    code, out, _ = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", str(MAX_ROUNDS))
+    assert code == EXIT_OK and "# verdict,converged" in out
 
 
 @pytest.mark.parametrize("command", [

@@ -299,6 +299,18 @@ def test_bit_plane_multipliers_match_popcount_formulas(data):
                               popcount_measure_flip_multiplier(g, f_m, which))
 
 
+def test_cached_multipliers_are_read_only(path4):
+    # A write into a cached multiplier would change every later round at
+    # that p, so the caches hand out read-only arrays.
+    depolarize = _depolarize_multiplier(path4, 0.97)
+    flip = _measure_flip_multiplier(path4, 0.05, Protocol.P1)
+    for cached in (depolarize, flip):
+        with pytest.raises(ValueError):
+            cached[0] = 2.0
+    assert _depolarize_multiplier(path4, 0.97) is depolarize
+    assert np.array_equal(depolarize, popcount_depolarize_multiplier(path4, 0.97))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_channels_and_rounds_conserve_trace(data):
