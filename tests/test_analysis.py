@@ -132,19 +132,25 @@ def test_threshold_report_refuses_a_p_its_search_does_not_read(ghz3):
         threshold_report(ghz3, Family.RESTRICTED_BITFLIP, "pmin", 0.5)
 
 
-@pytest.mark.parametrize("n,value,rounds_used", [
-    (16, 0.5925537109375001, 2151),
-    (20, 0.5820068359374999, 1467),
-    (24, 0.5869873046875, 1267),
+RING_PMIN_ROUNDS_USED = {16: 2151, 20: 1467, 24: 1267}
+
+
+# rounds_with_end_recheck is what each search took while _bisect still re-ran
+# both final bracket ends; judging each point once must cost fewer rounds.
+@pytest.mark.parametrize("n,value,rounds_with_end_recheck", [
+    (16, 0.5925537109375001, 2556),
+    (20, 0.5820068359374999, 1743),
+    (24, 0.5869873046875, 1496),
 ])
-def test_restricted_p_min_reaches_large_rings(n, value, rounds_used):
+def test_restricted_p_min_reaches_large_rings(n, value, rounds_with_end_recheck):
     # The restricted search steps a 2^(n/2) A-support vector, so rings whose
     # search in the full 2^n space takes minutes (an hour or so at n = 24)
     # run in under a second.
     g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
     report = threshold_report(g, Family.RESTRICTED_BITFLIP, "pmin")
     assert report.value == pytest.approx(value, abs=1e-12)
-    assert report.rounds_used == rounds_used
+    assert report.rounds_used == RING_PMIN_ROUNDS_USED[n]
+    assert report.rounds_used < rounds_with_end_recheck
 
 
 def test_multiplier_caches_hold_one_trajectory(path4):
