@@ -17,13 +17,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint
-from .graphs import Graph, GraphKind, standard_graph
+from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint, TooLarge
+from .graphs import MAX_QUBITS, Graph, GraphKind, standard_graph
 from .protocol import ROUNDS_APPLIED, Protocol, StepFn, a_support_steps, standard_steps, trajectory
 from .states import (
     GDState,
+    _a_support_flip_perms,
     apply_pauli_channel,
-    bitflip_b_noise,
     global_white,
     prepared_with_channel_noise,
     pure_target,
@@ -411,15 +411,24 @@ def restricted_gain_region(n: int, p: float) -> tuple[float, float]:
     background coincidences also feed the raw output fidelity, but that
     pathway dies off with the uniform floor 2^(-n/2) and supports no
     size-independent noise threshold.
+
+    Both components live on the 2^(n/2) A-support coefficients, where the
+    round runs; n/2 above MAX_QUBITS raises TooLarge before allocating any.
     """
     if n % 2 != 0 or n < 4:
         raise InvalidParam(f"closed cluster needs even n >= 4, got {n}")
+    if n // 2 > MAX_QUBITS:
+        raise TooLarge(f"n={n}: 2^{n // 2} A-support coefficients exceed the limit of 2^{MAX_QUBITS}")
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
     g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
     u0 = 1.0 / (1 << g.n_a)
-    signal = bitflip_b_noise(pure_target(g), p).lam  # noise-propagated pure part
-    background = rho_a_family(g, u0).lam  # uniform over the A-support
+    flip = (1.0 - p) / 2.0
+    keep = 1.0 - flip
+    signal = rho_a_support(g, 1.0).lam  # the pure part, pushed through the B-vertex bit flips
+    for perm in _a_support_flip_perms(g):
+        signal = keep * signal + flip * signal[perm]
+    background = np.full(1 << g.n_a, u0)  # uniform over the A-support
     s0 = float(signal[0])
 
     def gain(x: float) -> bool:

@@ -54,7 +54,6 @@ class Scenario:
     eps: float = 1e-6
     tol: float = 1e-12
     r_max: int = 200
-    seed: int = 0
     out: str | None = None
     quantity: str | None = None
     p_grid: str | None = None
@@ -124,9 +123,7 @@ def _scenario_fields(text: str, source: str) -> dict:
 
 
 # The Scenario fields each command reads. The searches fix their own
-# schedules, stop rules and input states and model perfect measurements; no
-# command reads `seed` (oracle-check has its own flag): every run is
-# deterministic.
+# schedules, stop rules and input states and model perfect measurements.
 _EVERY = ("graph", "n", "rows", "cols", "graph_file", "out")
 READS = {
     "purify": _EVERY + ("family", "param", "p", "f_m", "schedule", "eps", "tol", "r_max"),
@@ -373,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=float, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--r-max", dest="r_max", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--quantity", choices=list(QUANTITIES), default=None)
         sp.add_argument("--p-grid", dest="p_grid", default=None)

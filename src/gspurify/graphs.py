@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DuplicateEdge, InvalidParam, OddCycle, TooLarge
 
@@ -197,15 +197,3 @@ def parse_graph_text(text: str, source: str = "<string>") -> Graph:
             raise InvalidParam(f"{source}:{i}: expected two integers, got {ln!r}") from None
     return build_graph(n, edges)
 
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def relabeled(g: Graph, perm: Sequence[int]) -> Graph:
-    """Rebuild g with vertex v renamed to perm[v] (testing helper)."""
-    if sorted(perm) != list(range(g.n)):
-        raise InvalidParam("perm must be a permutation of 0..n-1")
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
-from .states import ASupportState, GDState, PauliAxis, pauli_flip_mask
-from .transforms import bit_plane, parity_lookup, spread_submasks, wht_bits
+from .states import ASupportState, GDState, PauliAxis, _a_support_flip_perms, pauli_flip_mask
+from .transforms import bit_plane, parity_lookup, wht_bits
 
 
 class Protocol(Enum):
@@ -132,15 +132,6 @@ def _coincidence_mask(g: Graph, which: Protocol) -> int:
     return g.a_mask if which is Protocol.P1 else g.b_mask
 
 
-def xor_square_over_b(lam: np.ndarray, g: Graph) -> np.ndarray:
-    """Unnormalized coefficient update of a perfect information-extraction
-    round: XOR self-convolution over the B bits at fixed A-part."""
-    if lam.shape != (g.dim,):
-        raise BadParam(f"vector length {lam.shape} does not match n={g.n}")
-    spectrum = wht_bits(np.asarray(lam, dtype=np.float64), g.n, g.b_mask)
-    return wht_bits(spectrum * spectrum, g.n, g.b_mask, inverse=True)
-
-
 def _check_noise(p: float, f_m: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise BadParam(f"gate parameter p={p} outside [0,1]")
@@ -222,12 +213,7 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
         raise BadParam(f"p={p} outside [0,1]")
     flip = (1.0 - p) / 2.0
     keep = 1.0 - flip
-    subs = spread_submasks(g.a_mask)
-    ranks = np.arange(len(subs))
-    # An X on B-vertex v moves rank r to r ^ rank(its flip mask). On these
-    # 2^n_a entries a precomputed gather beats the full space's axis views.
-    perms = [ranks ^ int(np.searchsorted(subs, pauli_flip_mask(g, v, PauliAxis.X)))
-             for v in sorted(g.b_vertices)]
+    perms = _a_support_flip_perms(g)
 
     def step(s: ASupportState) -> StepResult:
         lam = s.lam

@@ -243,6 +243,19 @@ class ASupportState:
         return GDState(self.graph, lam)
 
 
+@lru_cache(maxsize=8)  # n_b arrays of 2^n_a ranks per graph in use
+def _a_support_flip_perms(g: Graph) -> tuple[np.ndarray, ...]:
+    """Per B-vertex in sorted order, the read-only A-support image of its X:
+    the flip toggles only A-vertex bits, so it moves rank r to r ^ rank(its
+    flip mask). On 2^n_a entries a gather beats the full space's axis views."""
+    subs = spread_submasks(g.a_mask)
+    flips = np.searchsorted(subs, [pauli_flip_mask(g, v, PauliAxis.X) for v in sorted(g.b_vertices)])
+    perms = tuple(np.arange(len(subs)) ^ int(f) for f in flips)  # rows of one 2-D array gather slower
+    for perm in perms:
+        perm.setflags(write=False)
+    return perms
+
+
 def rho_a_support(g: Graph, f: float) -> ASupportState:
     """rho_a_family on its A-support: weight f at rank 0 and the rest spread
     evenly over the 2^n_a - 1 other ranks."""

@@ -6,11 +6,15 @@ and the acceptance test.
 
 Also here are the plain kernels the fast ones must match to the bit: the
 butterfly loop with no cache blocking, and the Pauli shuffle through 2^n
-index arrays instead of axis views."""
+index arrays instead of axis views; and two graph helpers the tests build
+inputs with: a relabeled copy of a graph and its text form."""
+
+from typing import Sequence
 
 import numpy as np
 
-from gspurify.graphs import Graph
+from gspurify.errors import InvalidParam
+from gspurify.graphs import Graph, build_graph
 from gspurify.protocol import (
     Protocol,
     StepResult,
@@ -110,3 +114,17 @@ def reference_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepRes
         u += w * xor_cross_naive(lam, lam[idx ^ a], g.n, conv_mask)
     p_succ = _acceptance(u.sum())
     return StepResult(GDState(g, u / p_succ), p_succ)
+
+
+def graph_to_text(g: Graph) -> str:
+    """g in the format parse_graph_text reads: "n m", then one "u v" per edge."""
+    lines = [f"{g.n} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def relabeled(g: Graph, perm: Sequence[int]) -> Graph:
+    """Rebuild g with vertex v renamed to perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise InvalidParam("perm must be a permutation of 0..n-1")
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])

@@ -24,9 +24,9 @@ from gspurify.analysis import (
     restricted_gain_region,
 )
 from gspurify.graphs import GraphKind, standard_graph
-from gspurify.protocol import p1_step, xor_square_over_b
+from gspurify.protocol import p1_step
 from gspurify.selfcheck import run_equivalence_suite
-from gspurify.states import prepared_with_channel_noise, rho_a_family
+from gspurify.states import GDState, prepared_with_channel_noise, rho_a_family
 from reference import xor_cross_naive
 
 
@@ -204,7 +204,8 @@ def test_criterion_09_performance():
             for _ in range(8):
                 lam = rng.random(g.dim)
                 lam /= lam.sum()  # the op's domain: state coefficient vectors
-                fast = xor_square_over_b(lam, g)
+                step = p1_step(GDState(g, lam))  # perfect P1: the B-bit XOR self-square, normalised
+                fast = step.state.lam * step.p_succ
                 naive = xor_cross_naive(lam, lam, g.n, g.b_mask)
                 worst = max(worst, float(np.abs(fast - naive).max()))
     agree_ok = worst <= 1e-12

@@ -17,7 +17,7 @@ from gspurify.analysis import (
     restricted_gain_region,
     threshold_report,
 )
-from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam
+from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam, TooLarge
 from gspurify.graphs import GraphKind, standard_graph
 from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, iterate, p1_step
 from gspurify.states import global_white, rho_a_family
@@ -171,6 +171,8 @@ def test_restricted_gain_region_examples():
         restricted_gain_region(7, 0.8)
     with pytest.raises(BadParam):
         restricted_gain_region(8, 0.0)
+    with pytest.raises(TooLarge):  # 2^32 A-support coefficients, refused before any is allocated
+        restricted_gain_region(64, 0.8)
 
 
 @pytest.mark.parametrize("n,edges", [

@@ -54,14 +54,17 @@ def test_purify_trace_and_dump(capsys, tmp_path):
 
 @pytest.mark.parametrize("source", ["flag", "scenario"])
 def test_purify_refuses_seed(capsys, tmp_path, source):
-    # purify is deterministic; a seed it would ignore is refused instead.
+    # Every run but oracle-check's is deterministic, so there is no seed to
+    # give: argparse refuses the flag, the scenario reader the key.
     scenario = tmp_path / "sc.json"
     scenario.write_text(json.dumps({"seed": 5}))
-    given = ("--seed", "5") if source == "flag" else ("--scenario", str(scenario))
-    code, out, err = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", *given)
-    assert code == EXIT_USAGE
-    assert out == "" and "--seed" in err
-    # Also at its default: a field the run does not read is never given.
+    given, named = (("--seed", "5"), "--seed") if source == "flag" else (("--scenario", str(scenario)), "seed")
+    for command in (("purify", "--r-max", "1"), ("threshold", "--quantity", "fmax"),
+                    ("scan", "--quantity", "fmax"), ("compare-bepp",)):
+        code, out, err = run(capsys, *command, "--graph", "path", "--n", "4", *given)
+        assert code == EXIT_USAGE
+        assert out == "" and named in err
+    # Also at what was its default.
     code, out, err = run(capsys, "purify", "--graph", "path", "--n", "4", "--r-max", "1", "--seed", "0")
     assert code == EXIT_USAGE
     assert out == "" and "--seed" in err
@@ -150,7 +153,6 @@ def test_scenario_defaults():
     sc = Scenario()
     assert sc.schedule == "P1P2"
     assert sc.eps == 1e-6 and sc.tol == 1e-12 and sc.r_max == 200
-    assert sc.seed == 0
     sc.validate()
 
 
@@ -277,15 +279,14 @@ UNUSED_FLAGS = {  # flag -> (a non-default value, the same as a scenario, the de
     "--eps": ("0.3", {"eps": 0.3}, "1e-6"),
     "--tol": ("0.5", {"tol": 0.5}, "1e-12"),
     "--param": ("0.5", {"param": 0.5}, "0.9"),
-    "--seed": ("5", {"seed": 5}, "0"),
 }
 
 
 @pytest.mark.parametrize("flag", UNUSED_FLAGS)
 @pytest.mark.parametrize("source", ["flag", "scenario"])
 def test_unused_fields_refused_outside_purify(capsys, tmp_path, flag, source):
-    # threshold, scan and compare-bepp fix their own schedule, stop rule,
-    # input state and seed; a value they would ignore is refused instead,
+    # threshold, scan and compare-bepp fix their own schedule, stop rule
+    # and input state; a value they would ignore is refused instead,
     # at the default as well as away from it.
     value, fields, default = UNUSED_FLAGS[flag]
     scenario = tmp_path / "sc.json"

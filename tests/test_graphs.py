@@ -5,12 +5,11 @@ from gspurify.graphs import (
     MAX_QUBITS,
     GraphKind,
     build_graph,
-    graph_to_text,
     parse_graph_text,
-    relabeled,
     standard_graph,
     syndrome_parts,
 )
+from reference import graph_to_text, relabeled
 
 
 def max_degree(g):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gspurify.errors import BadParam, ZeroSuccess
-from gspurify.graphs import GraphKind, build_graph, relabeled, standard_graph
+from gspurify.graphs import GraphKind, build_graph, standard_graph
 from gspurify.protocol import (
     Protocol,
     StopRule,
@@ -17,11 +17,11 @@ from gspurify.protocol import (
     p1_step,
     p2_step,
     run_schedule,
-    xor_square_over_b,
 )
 from gspurify.states import (
     ASupportState,
     GDState,
+    _a_support_flip_perms,
     apply_pauli_channel,
     bitflip_b_noise,
     depolarizing_channel,
@@ -30,7 +30,7 @@ from gspurify.states import (
     rho_a_family,
 )
 from gspurify.transforms import spread_submasks, wht_bits
-from reference import gather_mix, gather_vertex_moves, reference_step, xor_cross_naive
+from reference import gather_mix, gather_vertex_moves, reference_step, relabeled, xor_cross_naive
 
 
 def random_state(g, rng):
@@ -80,14 +80,6 @@ def test_p2_squares_pure_a_support(path4, rng):
     assert np.abs(res.state.lam[b_support] - want).max() < 1e-14
 
 
-def test_xor_square_delta(path4):
-    lam = np.zeros(path4.dim)
-    lam[0] = 1.0
-    out = xor_square_over_b(lam, path4)
-    assert out[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.abs(out).sum() == pytest.approx(1.0, abs=1e-14)
-
-
 @pytest.mark.parametrize("kind,n", [
     (GraphKind.GHZ, 5),
     (GraphKind.LINEAR_CLUSTER, 6),
@@ -98,7 +90,8 @@ def test_fast_equals_naive(kind, n, rng):
     for _ in range(10):
         lam = rng.random(g.dim)
         lam /= lam.sum()
-        fast = xor_square_over_b(lam, g)
+        res = p1_step(GDState(g, lam))  # perfect P1: the B-bit XOR self-square, normalised
+        fast = res.state.lam * res.p_succ
         naive = xor_cross_naive(lam, lam, g.n, g.b_mask)
         assert np.abs(fast - naive).max() < 1e-12
 
@@ -301,10 +294,13 @@ def test_bit_plane_multipliers_match_popcount_formulas(data):
 
 def test_cached_multipliers_are_read_only(path4):
     # A write into a cached multiplier would change every later round at
-    # that p, so the caches hand out read-only arrays.
+    # that p, so the caches hand out read-only arrays; so does the cache of
+    # the restricted model's rank permutations, which every p shares.
     depolarize = _depolarize_multiplier(path4, 0.97)
     flip = _measure_flip_multiplier(path4, 0.05, Protocol.P1)
-    for cached in (depolarize, flip):
+    perms = _a_support_flip_perms(path4)
+    assert len(perms) == path4.n_b and _a_support_flip_perms(path4) is perms
+    for cached in (depolarize, flip, *perms):
         with pytest.raises(ValueError):
             cached[0] = 2.0
     assert _depolarize_multiplier(path4, 0.97) is depolarize
