@@ -222,6 +222,23 @@ def test_dejmps_normalized_nonnegative(rng):
         assert b.vec.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_dejmps_step_matches_closed_form(rng):
+    # Each qubit's depolarization maps v to p v + (1-p)/4 sum(v); with
+    # w the vector after both, the round keeps [w0^2 + w1^2, 2 w2 w3,
+    # w2^2 + w3^2, 2 w0 w1] / N with N = (w0 + w1)^2 + (w2 + w3)^2 = p_succ.
+    for p in [1.0] * 50 + rng.uniform(0.5, 1.0, 150).tolist():
+        vec = rng.random(4)
+        vec /= vec.sum()
+        w = vec
+        for _ in range(2):
+            w = p * w + (1.0 - p) / 4.0 * w.sum()
+        norm = (w[0] + w[1]) ** 2 + (w[2] + w[3]) ** 2
+        want = np.array([w[0] ** 2 + w[1] ** 2, 2 * w[2] * w[3], w[2] ** 2 + w[3] ** 2, 2 * w[0] * w[1]]) / norm
+        b, p_succ = dejmps_step(BellDiag(*vec), p)
+        assert np.abs(b.vec - want).max() <= 1e-14
+        assert abs(p_succ - norm) <= 1e-14
+
+
 def test_dejmps_fixed_point_regression():
     fp = dejmps_fixed_point(0.97)
     assert fp.a == pytest.approx(0.9606172319433466, abs=1e-9)
