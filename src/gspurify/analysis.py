@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint, TooLarge
-from .graphs import MAX_QUBITS, Graph, GraphKind, standard_graph
-from .protocol import ROUNDS_APPLIED, Protocol, StepFn, a_support_steps, standard_steps, trajectory
+from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint
+from .graphs import Graph, GraphKind, standard_graph
+from .protocol import ROUNDS_APPLIED, Protocol, StepFn, a_support_steps, p1_step, standard_steps, trajectory
 from .states import (
     GDState,
     _a_support_flip_perms,
@@ -36,6 +36,7 @@ P_MIN_GRID = 64  # family members a p_min probe tries at each p
 STALL_EPS = 5e-14  # per-period fidelity change treated as a hard stall
 GAIN_EDGE_TOL = 5e-7  # bracket half-width a gain-region edge is returned at
 DEJMPS_ROUNDS = 20000  # round budget of the bipartite fixed point
+_PAIR = standard_graph(GraphKind.GHZ, 2)  # the Bell pair as a graph state
 
 
 class Family(Enum):
@@ -413,12 +414,11 @@ def restricted_gain_region(n: int, p: float) -> tuple[float, float]:
     size-independent noise threshold.
 
     Both components live on the 2^(n/2) A-support coefficients, where the
-    round runs; n/2 above MAX_QUBITS raises TooLarge before allocating any.
+    round runs one B-vertex permutation at a time; n/2 above MAX_QUBITS
+    raises TooLarge before allocating any.
     """
     if n % 2 != 0 or n < 4:
         raise InvalidParam(f"closed cluster needs even n >= 4, got {n}")
-    if n // 2 > MAX_QUBITS:
-        raise TooLarge(f"n={n}: 2^{n // 2} A-support coefficients exceed the limit of 2^{MAX_QUBITS}")
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
     g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
@@ -453,33 +453,19 @@ def restricted_gain_region(n: int, p: float) -> tuple[float, float]:
 # bipartite comparison
 
 
-_BELL_X = [2, 3, 0, 1]  # parity flip: Phi+ <-> Psi+, Psi- <-> Phi-
-_BELL_Y = [1, 0, 3, 2]  # both flips: Phi+ <-> Psi-, Psi+ <-> Phi-
-_BELL_Z = [3, 2, 1, 0]  # phase flip: Phi+ <-> Phi-, Psi- <-> Psi+
-
-
-def _bell_depolarize(vec: np.ndarray, p: float) -> np.ndarray:
-    """One-sided depolarizing noise on a Bell-diagonal coefficient vector."""
-    mix = vec + vec[_BELL_X] + vec[_BELL_Y] + vec[_BELL_Z]
-    return p * vec + (1.0 - p) / 4.0 * mix
-
-
 def dejmps_step(b: BellDiag, p: float = 1.0) -> tuple[BellDiag, float]:
     """One round of the standard bipartite recurrence on two identical pairs.
 
-    The deterministic pre-rotations of the protocol are compiled into the
-    coefficient shuffle; noise is one depolarizing pass per qubit (four in
-    total) before the perfect round.
+    A Bell pair is the two-vertex graph state, and the round is that graph's
+    P1 round: (Phi+, Psi-, Psi+, Phi-) sit at syndromes 0, 2, 1, 3, and the
+    output is read back from syndromes 0, 3, 1, 2, the relabelling that the
+    protocol's deterministic pre-rotations compile to. Noise is one
+    depolarizing pass per qubit (four in total) before the perfect round.
     """
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
-    vec = b.vec
-    if p < 1.0:
-        vec = _bell_depolarize(_bell_depolarize(vec, p), p)
-    a, bb, c, d = vec
-    norm = (a + bb) ** 2 + (c + d) ** 2
-    out = np.array([a * a + bb * bb, 2.0 * c * d, c * c + d * d, 2.0 * a * bb]) / norm
-    return BellDiag(*(float(x) for x in out)), float(norm)
+    res = p1_step(GDState(_PAIR, b.vec[[0, 2, 1, 3]]), p)
+    return BellDiag(*(float(x) for x in res.state.lam[[0, 3, 1, 2]])), res.p_succ
 
 
 def dejmps_fixed_point(p: float, start: BellDiag | None = None) -> BellDiag:

@@ -213,7 +213,7 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
         raise BadParam(f"p={p} outside [0,1]")
     flip = (1.0 - p) / 2.0
     keep = 1.0 - flip
-    perms = _a_support_flip_perms(g)
+    perms = tuple(_a_support_flip_perms(g))
 
     def step(s: ASupportState) -> StepResult:
         lam = s.lam

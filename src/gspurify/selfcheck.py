@@ -35,6 +35,7 @@ RESTRICTED_STATES = 4  # random A-support states per graph
 RESTRICTED_P = (1.0, 0.8, 0.5)  # bit-flip qualities of the restricted round
 
 STANDARD_GRAPHS: tuple[tuple[str, GraphKind, int], ...] = (
+    ("ghz-2", GraphKind.GHZ, 2),  # the Bell pair, whose P1 round is the DEJMPS round
     ("ghz-3", GraphKind.GHZ, 3),
     ("ghz-4", GraphKind.GHZ, 4),
     ("path-3", GraphKind.LINEAR_CLUSTER, 3),

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .errors import BadDistribution, BadParam, NegativeCoefficient
-from .graphs import Graph, syndrome_parts
+from .errors import BadDistribution, BadParam, NegativeCoefficient, TooLarge
+from .graphs import MAX_QUBITS, Graph, syndrome_parts
 from .transforms import bit_positions, spread_submasks, wht_bits
 
 NEG_SLACK = 1e-15  # coefficients above -NEG_SLACK are clamped, below raise
@@ -243,17 +244,23 @@ class ASupportState:
         return GDState(self.graph, lam)
 
 
-@lru_cache(maxsize=8)  # n_b arrays of 2^n_a ranks per graph in use
-def _a_support_flip_perms(g: Graph) -> tuple[np.ndarray, ...]:
-    """Per B-vertex in sorted order, the read-only A-support image of its X:
-    the flip toggles only A-vertex bits, so it moves rank r to r ^ rank(its
-    flip mask). On 2^n_a entries a gather beats the full space's axis views."""
-    subs = spread_submasks(g.a_mask)
-    flips = np.searchsorted(subs, [pauli_flip_mask(g, v, PauliAxis.X) for v in sorted(g.b_vertices)])
-    perms = tuple(np.arange(len(subs)) ^ int(f) for f in flips)  # rows of one 2-D array gather slower
-    for perm in perms:
-        perm.setflags(write=False)
-    return perms
+def _a_support_dim(g: Graph) -> int:
+    """2^n_a, the length of an A-support vector, refused with TooLarge above
+    2^MAX_QUBITS before anything of that length is allocated."""
+    if g.n_a > MAX_QUBITS:
+        raise TooLarge(f"2^{g.n_a} A-support coefficients exceed the limit of 2^{MAX_QUBITS}")
+    return 1 << g.n_a
+
+
+def _a_support_flip_perms(g: Graph) -> Iterator[np.ndarray]:
+    """Per B-vertex in sorted order, the A-support image of its X as a rank
+    gather: the flip toggles only A-vertex bits, so it moves rank r to
+    r ^ rank(its flip mask). Each is built when the iteration reaches it.
+    On 2^n_a entries a gather beats the full space's axis views."""
+    ranks = np.arange(_a_support_dim(g))
+    masks = [pauli_flip_mask(g, v, PauliAxis.X) for v in sorted(g.b_vertices)]
+    flips = np.searchsorted(spread_submasks(g.a_mask), masks)
+    return (ranks ^ int(f) for f in flips)  # rows of one 2-D array gather slower
 
 
 def rho_a_support(g: Graph, f: float) -> ASupportState:
@@ -263,7 +270,8 @@ def rho_a_support(g: Graph, f: float) -> ASupportState:
         raise BadParam("graph has no A-vertices; the family is degenerate")
     if not 0.0 <= f <= 1.0:
         raise BadParam(f"f={f} outside [0,1]")
-    lam = np.full(1 << g.n_a, (1.0 - f) / ((1 << g.n_a) - 1))
+    dim = _a_support_dim(g)
+    lam = np.full(dim, (1.0 - f) / (dim - 1))
     lam[0] = f
     return ASupportState(g, lam)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from gspurify.analysis import (
 from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam, TooLarge
 from gspurify.graphs import GraphKind, standard_graph
 from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, iterate, p1_step
-from gspurify.states import global_white, rho_a_family
+from gspurify.states import _a_support_flip_perms, global_white, rho_a_family, rho_a_support
 
 
 def test_closed_form_values():
@@ -173,6 +175,35 @@ def test_restricted_gain_region_examples():
         restricted_gain_region(8, 0.0)
     with pytest.raises(TooLarge):  # 2^32 A-support coefficients, refused before any is allocated
         restricted_gain_region(64, 0.8)
+
+
+def test_a_support_size_refused_before_allocation():
+    # 2^100 A-support coefficients: every A-support build reaches one size
+    # check, which refuses them before numpy is asked for any.
+    g = standard_graph(GraphKind.CLOSED_CLUSTER, 200)
+    with pytest.raises(TooLarge):
+        threshold_report(g, Family.RESTRICTED_BITFLIP, "pmin")
+    with pytest.raises(TooLarge):
+        rho_a_support(g, 0.5)
+    with pytest.raises(TooLarge):
+        _a_support_flip_perms(g)
+    with pytest.raises(TooLarge):
+        restricted_gain_region(200, 0.8)
+
+
+def test_restricted_gain_region_memory_n32():
+    # The region builds the B-flip permutations one at a time and keeps
+    # none, so it peaks at a few 2^(n/2)-double vectors and holds nothing
+    # after it returns.
+    vector = 8 << 16
+    tracemalloc.start()
+    try:
+        restricted_gain_region(32, 0.8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * vector, f"peak {peak / vector:.2f} x 2^16 doubles"
+    assert held <= 0.5 * vector, f"held {held / vector:.2f} x 2^16 doubles"
 
 
 @pytest.mark.parametrize("n,edges", [

@@ -21,7 +21,6 @@ from gspurify.protocol import (
 from gspurify.states import (
     ASupportState,
     GDState,
-    _a_support_flip_perms,
     apply_pauli_channel,
     bitflip_b_noise,
     depolarizing_channel,
@@ -294,13 +293,10 @@ def test_bit_plane_multipliers_match_popcount_formulas(data):
 
 def test_cached_multipliers_are_read_only(path4):
     # A write into a cached multiplier would change every later round at
-    # that p, so the caches hand out read-only arrays; so does the cache of
-    # the restricted model's rank permutations, which every p shares.
+    # that p, so the caches hand out read-only arrays.
     depolarize = _depolarize_multiplier(path4, 0.97)
     flip = _measure_flip_multiplier(path4, 0.05, Protocol.P1)
-    perms = _a_support_flip_perms(path4)
-    assert len(perms) == path4.n_b and _a_support_flip_perms(path4) is perms
-    for cached in (depolarize, flip, *perms):
+    for cached in (depolarize, flip):
         with pytest.raises(ValueError):
             cached[0] = 2.0
     assert _depolarize_multiplier(path4, 0.97) is depolarize
