@@ -464,7 +464,8 @@ def dejmps_step(b: BellDiag, p: float = 1.0) -> tuple[BellDiag, float]:
     """
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
-    res = p1_step(GDState(_PAIR, b.vec[[0, 2, 1, 3]]), p)
+    lam = np.maximum(b.vec, 0.0)[[0, 2, 1, 3]]  # BellDiag admits roundoff below 0; GDState does not
+    res = p1_step(GDState(_PAIR, lam), p)
     return BellDiag(*(float(x) for x in res.state.lam[[0, 3, 1, 2]])), res.p_succ
 
 

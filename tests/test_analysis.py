@@ -270,6 +270,13 @@ def test_dejmps_step_matches_closed_form(rng):
         assert abs(p_succ - norm) <= 1e-14
 
 
+def test_dejmps_step_accepts_roundoff_below_zero():
+    # BellDiag admits coefficients down to -1e-12; the round reads them as 0.
+    b, p_succ = dejmps_step(BellDiag(1.0 + 1e-13, -1e-13, 0.0, 0.0), 0.99)
+    want, want_succ = dejmps_step(BellDiag(1.0, 0.0, 0.0, 0.0), 0.99)
+    assert np.abs(b.vec - want.vec).max() <= 1e-12 and abs(p_succ - want_succ) <= 1e-12
+
+
 def test_dejmps_fixed_point_regression():
     fp = dejmps_fixed_point(0.97)
     assert fp.a == pytest.approx(0.9606172319433466, abs=1e-9)
