@@ -27,6 +27,7 @@ from gspurify.states import (
     prepared_with_channel_noise,
     pure_target,
     rho_a_family,
+    rho_a_support,
 )
 from gspurify.transforms import spread_submasks, wht_bits
 from reference import gather_mix, gather_vertex_moves, reference_step, relabeled, xor_cross_naive
@@ -443,6 +444,25 @@ def test_p1_and_p2_mirror_under_colour_swap(data):
         got_h = step_h(GDState(h, lam_h), p, f_m)
         assert np.abs(got_h.state.lam[moved] - got_g.state.lam).max() <= tol
         assert abs(got_h.p_succ - got_g.p_succ) <= tol
+
+
+@pytest.mark.parametrize("n", [4, 7, 10, 15, 20])
+def test_a_support_rounds_on_paths_follow_per_vertex_recurrence(n):
+    # On a path the B-flips reach each A-pattern from one flip pattern, so
+    # from the pure target every B-vertex stays flipped independently with
+    # one probability q: the noise takes it to s = q(1-f) + (1-q)f, the
+    # round's squaring to s^2 / (s^2 + (1-s)^2), and the fidelity is
+    # (1-q)^N_B after each round.
+    g = standard_graph(GraphKind.LINEAR_CLUSTER, n)
+    for p in (0.45, 0.6, 0.75, 0.9, 0.95):
+        ((_, step),) = a_support_steps(g, p)
+        f = (1.0 - p) / 2.0
+        s, q = rho_a_support(g, 1.0), 0.0
+        for _ in range(300):
+            s = step(s).state
+            s_flip = q * (1.0 - f) + (1.0 - q) * f
+            q = s_flip**2 / (s_flip**2 + (1.0 - s_flip) ** 2)
+            assert abs(s.fidelity - (1.0 - q) ** g.n_b) <= 1e-13
 
 
 def test_a_support_step_checks(ring4):
