@@ -17,12 +17,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint
+from .errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint, TooLarge
 from .graphs import Graph, GraphKind, standard_graph
 from .protocol import ROUNDS_APPLIED, Protocol, StepFn, a_support_steps, p1_step, standard_steps, trajectory
 from .states import (
     GDState,
-    _a_support_flip_perms,
     apply_pauli_channel,
     global_white,
     prepared_with_channel_noise,
@@ -36,6 +35,7 @@ P_MIN_GRID = 64  # family members a p_min probe tries at each p
 STALL_EPS = 5e-14  # per-period fidelity change treated as a hard stall
 GAIN_EDGE_TOL = 5e-7  # bracket half-width a gain-region edge is returned at
 DEJMPS_ROUNDS = 20000  # round budget of the bipartite fixed point
+GAIN_RING_MAX = 1022  # largest ring the gain region reads: u0^2 = 2^-n is still a normal double
 _PAIR = standard_graph(GraphKind.GHZ, 2)  # the Bell pair as a graph state
 
 
@@ -397,6 +397,16 @@ def p_min(g: Graph, family: Family, tolerance: float | None = None) -> float:
     return threshold_report(g, family, "pmin", tolerance=tolerance).value
 
 
+def _ring_signal_sums(m: int, p: float) -> tuple[float, float]:
+    """s0 and the sum of squares of the pure A-support state after a ring's m
+    B-vertex flips: each A-pattern comes from two complementary flip patterns,
+    and only all-keep and all-flip leave every A-vertex untouched."""
+    flip = (1.0 - p) / 2.0
+    keep = 1.0 - flip
+    cross = 2.0 * keep * flip
+    return keep**m + flip**m, (1.0 - cross) ** m + cross**m
+
+
 def restricted_gain_region(n: int, p: float) -> tuple[float, float]:
     """Mixing-weight range where one restricted-noise round purifies the
     closed cluster of size n through its retained pure component.
@@ -413,27 +423,22 @@ def restricted_gain_region(n: int, p: float) -> tuple[float, float]:
     pathway dies off with the uniform floor 2^(-n/2) and supports no
     size-independent noise threshold.
 
-    Both components live on the 2^(n/2) A-support coefficients, where the
-    round runs one B-vertex permutation at a time; n/2 above MAX_QUBITS
-    raises TooLarge before allocating any.
+    The round reads three sums of the two components, each in closed form
+    (`_ring_signal_sums`; the background u0 = 2^(-n/2) sums to 1), so no
+    state is built. n above GAIN_RING_MAX raises TooLarge.
     """
     if n % 2 != 0 or n < 4:
         raise InvalidParam(f"closed cluster needs even n >= 4, got {n}")
+    if n > GAIN_RING_MAX:
+        raise TooLarge(f"ring n={n} exceeds the gain region's limit of {GAIN_RING_MAX}")
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
-    g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
-    u0 = 1.0 / (1 << g.n_a)
-    flip = (1.0 - p) / 2.0
-    keep = 1.0 - flip
-    signal = rho_a_support(g, 1.0).lam  # the pure part, pushed through the B-vertex bit flips
-    for perm in _a_support_flip_perms(g):
-        signal = keep * signal + flip * signal[perm]
-    background = np.full(1 << g.n_a, u0)  # uniform over the A-support
-    s0 = float(signal[0])
+    u0 = 2.0 ** -(n // 2)
+    s0, sum_sq = _ring_signal_sums(n // 2, p)
 
     def gain(x: float) -> bool:
-        lam = x * signal + (1.0 - x) * background
-        accepted = float(lam @ lam)  # success probability of the perfect round
+        # lam @ lam with lam = x signal + (1-x) background: the perfect round's success probability
+        accepted = x * x * sum_sq + 2.0 * x * (1.0 - x) * u0 + (1.0 - x) ** 2 * u0
         f_signal = (x * x * s0 * s0 + (1.0 - x) ** 2 * u0 * u0) / accepted
         return f_signal > x + (1.0 - x) * u0
 

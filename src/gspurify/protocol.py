@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
-from .states import ASupportState, GDState, PauliAxis, _a_support_flip_perms, pauli_flip_mask
-from .transforms import bit_plane, parity_lookup, wht_bits
+from .states import ASupportState, GDState, PauliAxis, _checked_dim, pauli_flip_mask
+from .transforms import bit_plane, parity_lookup, spread_submasks, wht_bits
 
 
 class Protocol(Enum):
@@ -213,7 +213,13 @@ def a_support_steps(g: Graph, p: float) -> list[tuple[str, StepFn]]:
         raise BadParam(f"p={p} outside [0,1]")
     flip = (1.0 - p) / 2.0
     keep = 1.0 - flip
-    perms = tuple(_a_support_flip_perms(g))
+    # Per B-vertex, the A-support image of its X as a rank gather: the flip
+    # toggles only A-vertex bits, so it moves rank r to r ^ rank(its mask).
+    # On 2^n_a entries a gather beats the full space's axis views, and rows
+    # of one 2-D array gather slower than separate arrays.
+    ranks = np.arange(_checked_dim(g.n_a))
+    masks = [pauli_flip_mask(g, v, PauliAxis.X) for v in sorted(g.b_vertices)]
+    perms = tuple(ranks ^ int(f) for f in np.searchsorted(spread_submasks(g.a_mask), masks))
 
     def step(s: ASupportState) -> StepResult:
         lam = s.lam

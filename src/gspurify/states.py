@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -99,9 +98,18 @@ class GDState:
         return buf.getvalue()
 
 
+def _checked_dim(bits: int) -> int:
+    """2^bits, the length of a coefficient vector over that many bits,
+    refused with TooLarge above 2^MAX_QUBITS. Every 2^k build calls it before
+    it allocates anything of that length."""
+    if bits > MAX_QUBITS:
+        raise TooLarge(f"2^{bits} coefficients exceed the limit of 2^{MAX_QUBITS}")
+    return 1 << bits
+
+
 def pure_target(g: Graph) -> GDState:
     """The pure target state: all weight on syndrome 0."""
-    lam = np.zeros(g.dim)
+    lam = np.zeros(_checked_dim(g.n))
     lam[0] = 1.0
     return GDState(g, lam)
 
@@ -195,6 +203,7 @@ def prepared_with_channel_noise(g: Graph, q: float) -> GDState:
     is all 2^n coefficients by the last vertex."""
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
+    _checked_dim(g.n)  # the build grows to all 2^n coefficients
     r = (1.0 - q) / 4.0
     lam, k = np.ones(1), 0
     for v in range(g.n):
@@ -211,7 +220,8 @@ def global_white(g: Graph, x: float) -> GDState:
     weight x on the target plus (1-x) spread uniformly."""
     if not 0.0 <= x <= 1.0:
         raise BadParam(f"x={x} outside [0,1]")
-    lam = np.full(g.dim, (1.0 - x) / g.dim)
+    dim = _checked_dim(g.n)
+    lam = np.full(dim, (1.0 - x) / dim)
     lam[0] += x
     return GDState(g, lam)
 
@@ -239,28 +249,9 @@ class ASupportState:
 
     def embedded(self) -> GDState:
         """The same state as a full 2^n graph-diagonal state."""
-        lam = np.zeros(self.graph.dim)
+        lam = np.zeros(_checked_dim(self.graph.n))
         lam[spread_submasks(self.graph.a_mask)] = self.lam
         return GDState(self.graph, lam)
-
-
-def _a_support_dim(g: Graph) -> int:
-    """2^n_a, the length of an A-support vector, refused with TooLarge above
-    2^MAX_QUBITS before anything of that length is allocated."""
-    if g.n_a > MAX_QUBITS:
-        raise TooLarge(f"2^{g.n_a} A-support coefficients exceed the limit of 2^{MAX_QUBITS}")
-    return 1 << g.n_a
-
-
-def _a_support_flip_perms(g: Graph) -> Iterator[np.ndarray]:
-    """Per B-vertex in sorted order, the A-support image of its X as a rank
-    gather: the flip toggles only A-vertex bits, so it moves rank r to
-    r ^ rank(its flip mask). Each is built when the iteration reaches it.
-    On 2^n_a entries a gather beats the full space's axis views."""
-    ranks = np.arange(_a_support_dim(g))
-    masks = [pauli_flip_mask(g, v, PauliAxis.X) for v in sorted(g.b_vertices)]
-    flips = np.searchsorted(spread_submasks(g.a_mask), masks)
-    return (ranks ^ int(f) for f in flips)  # rows of one 2-D array gather slower
 
 
 def rho_a_support(g: Graph, f: float) -> ASupportState:
@@ -270,7 +261,7 @@ def rho_a_support(g: Graph, f: float) -> ASupportState:
         raise BadParam("graph has no A-vertices; the family is degenerate")
     if not 0.0 <= f <= 1.0:
         raise BadParam(f"f={f} outside [0,1]")
-    dim = _a_support_dim(g)
+    dim = _checked_dim(g.n_a)
     lam = np.full(dim, (1.0 - f) / (dim - 1))
     lam[0] = f
     return ASupportState(g, lam)

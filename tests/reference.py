@@ -6,15 +6,17 @@ and the acceptance test.
 
 Also here are the plain kernels the fast ones must match to the bit: the
 butterfly loop with no cache blocking, and the Pauli shuffle through 2^n
-index arrays instead of axis views; and two graph helpers the tests build
-inputs with: a relabeled copy of a graph and its text form."""
+index arrays instead of axis views; the ring gain region from 2^(n/2)
+vectors, which its closed form must match; and two graph helpers the tests
+build inputs with: a relabeled copy of a graph and its text form."""
 
 from typing import Sequence
 
 import numpy as np
 
-from gspurify.errors import InvalidParam
-from gspurify.graphs import Graph, build_graph
+from gspurify.analysis import GAIN_EDGE_TOL, _bisect
+from gspurify.errors import EmptyRegion, InvalidParam
+from gspurify.graphs import Graph, GraphKind, build_graph, standard_graph
 from gspurify.protocol import (
     Protocol,
     StepResult,
@@ -114,6 +116,48 @@ def reference_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepRes
         u += w * xor_cross_naive(lam, lam[idx ^ a], g.n, conv_mask)
     p_succ = _acceptance(u.sum())
     return StepResult(GDState(g, u / p_succ), p_succ)
+
+
+def ring_signal(n: int, p: float) -> np.ndarray:
+    """The pure A-support state of ring-n pushed through each B-vertex's X
+    flip in turn, as rank gathers built from the flip masks' ranks."""
+    g = standard_graph(GraphKind.CLOSED_CLUSTER, n)
+    flip = (1.0 - p) / 2.0
+    subs = spread_submasks(g.a_mask)
+    ranks = np.arange(subs.size)
+    signal = np.zeros(subs.size)
+    signal[0] = 1.0
+    for v in sorted(g.b_vertices):
+        perm = ranks ^ int(np.searchsorted(subs, g.neighbor_mask[v]))
+        signal = (1.0 - flip) * signal + flip * signal[perm]
+    return signal
+
+
+def vector_gain_region(n: int, p: float) -> tuple[float, float]:
+    """restricted_gain_region with the round's success probability taken as
+    lam @ lam of the 2^(n/2)-entry mixture of signal and uniform background,
+    on the same scan grid and bisection."""
+    signal = ring_signal(n, p)
+    u0 = 1.0 / signal.size
+    background = np.full(signal.size, u0)
+    s0 = float(signal[0])
+
+    def gain(x: float) -> bool:
+        lam = x * signal + (1.0 - x) * background
+        accepted = float(lam @ lam)
+        f_signal = (x * x * s0 * s0 + (1.0 - x) ** 2 * u0 * u0) / accepted
+        return f_signal > x + (1.0 - x) * u0
+
+    top = 1.0 - 1e-9
+    grid = np.geomspace(2.0 ** (-0.7 * n), top, 200).tolist()
+    flags = [gain(x) for x in grid]
+    if not any(flags):
+        raise EmptyRegion(f"no gain anywhere on the scan grid for n={n}, p={p}")
+    first = flags.index(True)
+    last = len(flags) - 1 - flags[::-1].index(True)
+    x_lo = _bisect(grid[first - 1], grid[first], gain, GAIN_EDGE_TOL)[0] if first > 0 else grid[0]
+    x_hi = _bisect(grid[last], grid[last + 1], gain, GAIN_EDGE_TOL)[0] if last < len(grid) - 1 else top
+    return x_lo, x_hi
 
 
 def graph_to_text(g: Graph) -> str:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from gspurify.analysis import (
     Family,
     ThresholdReport,
     _bisect,
+    _ring_signal_sums,
     bepp_bound,
     dejmps_fixed_point,
     dejmps_step,
@@ -21,8 +23,15 @@ from gspurify.analysis import (
 )
 from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam, TooLarge
 from gspurify.graphs import GraphKind, standard_graph
-from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, iterate, p1_step
-from gspurify.states import _a_support_flip_perms, global_white, rho_a_family, rho_a_support
+from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, a_support_steps, iterate, p1_step
+from gspurify.states import (
+    global_white,
+    prepared_with_channel_noise,
+    pure_target,
+    rho_a_family,
+    rho_a_support,
+)
+from reference import ring_signal, vector_gain_region
 
 
 def test_closed_form_values():
@@ -173,8 +182,13 @@ def test_restricted_gain_region_examples():
         restricted_gain_region(7, 0.8)
     with pytest.raises(BadParam):
         restricted_gain_region(8, 0.0)
-    with pytest.raises(TooLarge):  # 2^32 A-support coefficients, refused before any is allocated
-        restricted_gain_region(64, 0.8)
+    # Criterion 04's edge-exponent windows hold far past its rings.
+    x_lo, x_hi = restricted_gain_region(64, 0.8)
+    assert -0.40 <= math.log2(x_lo) / 64 <= -0.28 and -0.020 <= math.log2(x_hi) / 64 <= -0.004
+    with pytest.raises(TooLarge):  # u0^2 = 2^-1024 is no longer a normal double
+        restricted_gain_region(1024, 0.8)
+    x_lo, x_hi = restricted_gain_region(1022, 0.8)
+    assert 0.0 < x_lo < x_hi < 1.0
 
 
 def test_a_support_size_refused_before_allocation():
@@ -186,15 +200,26 @@ def test_a_support_size_refused_before_allocation():
     with pytest.raises(TooLarge):
         rho_a_support(g, 0.5)
     with pytest.raises(TooLarge):
-        _a_support_flip_perms(g)
+        a_support_steps(g, 0.8)
+
+
+def test_full_space_size_refused_before_allocation():
+    # 2^200 coefficients for ring-200, and 2^30 for the embedding of
+    # GHZ-30's two-entry A-support: each build passes the same size check.
+    g = standard_graph(GraphKind.CLOSED_CLUSTER, 200)
     with pytest.raises(TooLarge):
-        restricted_gain_region(200, 0.8)
+        threshold_report(g, Family.RHO_Q, "fmax", 0.97)
+    for build in (pure_target, lambda g: global_white(g, 0.5), lambda g: prepared_with_channel_noise(g, 0.9)):
+        with pytest.raises(TooLarge):
+            build(g)
+    with pytest.raises(TooLarge):
+        rho_a_family(standard_graph(GraphKind.GHZ, 30), 0.5)
 
 
 def test_restricted_gain_region_memory_n32():
-    # The region builds the B-flip permutations one at a time and keeps
-    # none, so it peaks at a few 2^(n/2)-double vectors and holds nothing
-    # after it returns.
+    # The region reads closed-form sums and builds no A-support state, so
+    # its peak, the 200-point scan grid, stays far below one 2^(n/2)-double
+    # vector and it holds nothing after it returns.
     vector = 8 << 16
     tracemalloc.start()
     try:
@@ -202,8 +227,35 @@ def test_restricted_gain_region_memory_n32():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * vector, f"peak {peak / vector:.2f} x 2^16 doubles"
+    assert peak <= 0.1 * vector, f"peak {peak / vector:.2f} x 2^16 doubles"
     assert held <= 0.5 * vector, f"held {held / vector:.2f} x 2^16 doubles"
+
+
+GAIN_GRID_P = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.6, 0.5)
+
+
+def _hex_edges(region, n, p):
+    try:
+        return tuple(x.hex() for x in region(n, p))
+    except EmptyRegion:
+        return "empty"
+
+
+def test_restricted_gain_region_matches_vector_reference():
+    # The closed form reads the sums the reference takes over 2^(n/2)
+    # vectors; its last bits differ, but no edge moves by a single bit.
+    cases = [(n, p) for n in range(4, 20, 2) for p in GAIN_GRID_P]
+    cases += [(n, p) for n in range(20, 30, 2) for p in (0.95, 0.8, 0.7, 0.6)]
+    got = {case: _hex_edges(restricted_gain_region, *case) for case in cases}
+    want = {case: _hex_edges(vector_gain_region, *case) for case in cases}
+    assert got == want
+    assert list(got.values()).count("empty") == 19
+    for n in range(4, 24, 2):
+        for p in GAIN_GRID_P:
+            signal = ring_signal(n, p)
+            s0, sum_sq = _ring_signal_sums(n // 2, p)
+            assert abs(s0 - signal[0]) <= 2e-15 * signal[0]
+            assert abs(sum_sq - signal @ signal) <= 2e-15 * (signal @ signal)
 
 
 @pytest.mark.parametrize("n,edges", [
