@@ -235,6 +235,17 @@ def _target_dominates(state: GDState) -> bool:
     return second <= 0.5 * top and top == float(lam[0])
 
 
+def _purified_target(g: Graph, p: float, steps: list[tuple[str, StepFn]]) -> float:
+    """The fidelity the schedule settles at from the pure target at gate
+    quality p, refused with NoFixedPoint when the settled state is a failure
+    plateau rather than a purified state."""
+    target, settled = _fixed_point_full(pure_target(g), steps)
+    if not _target_dominates(settled):
+        raise NoFixedPoint(f"at p={p} iteration from the pure target settles on a failure plateau "
+                           f"(fidelity {target}), not a purified state")
+    return target
+
+
 def _low_biased_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """Grid over (lo, hi] crowded toward lo, where near-threshold gain
     regions collapse."""
@@ -282,13 +293,16 @@ def _climb_bracket(
     g: Graph, family: Family, p: float, tolerance: float, lo: float
 ) -> tuple[float, float, float]:
     """Bisect the family parameter over [lo, 1] for the least member whose
-    trajectory climbs to the p-dependent stationary fidelity."""
+    trajectory climbs to the p-dependent stationary fidelity, which must be
+    a purified state's (`_purified_target`)."""
+    if not 0.0 < p <= 1.0:
+        raise BadParam(f"p={p} outside (0,1]")
     # Pure-B-support inputs carry information only in their A syndromes, so
     # only the A-information round is applied; the mirror round would spread
     # the A distribution instead of sharpening it.
     schedule = (Protocol.P1,) if family is Family.RHO_A else (Protocol.P1, Protocol.P2)
-    target = f_max(g, p, schedule=schedule)
     steps = standard_steps(schedule, p, 0.0)
+    target = _purified_target(g, p, steps) if p < 1.0 else 1.0
 
     def pred(param: float) -> bool:
         return _climbs_to(_family_state(g, family, param), steps, target, 1e-6)
@@ -318,11 +332,9 @@ def _p_min_search(g: Graph, family: Family, _p: float, tolerance: float) -> tupl
         def pred(p: float) -> bool:
             steps = standard_steps((Protocol.P1, Protocol.P2), p, 0.0)
             try:
-                target, settled = _fixed_point_full(pure_target(g), steps)
+                target = _purified_target(g, p, steps)
             except NoFixedPoint:
-                return False
-            if not _target_dominates(settled):
-                return False  # merged into a failure plateau, not a purified state
+                return False  # diverged, or merged into a failure plateau
             for q in grid:
                 s0 = prepared_with_channel_noise(g, q)
                 if s0.fidelity >= target - 1e-3:

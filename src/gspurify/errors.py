@@ -38,7 +38,7 @@ class BracketError(GspurifyError):
 
 
 class NoFixedPoint(GspurifyError):
-    """Iteration from the pure state diverged; no stationary fidelity exists."""
+    """Iteration from the pure state diverged or settled on a failure plateau."""
 
 
 class EmptyRegion(GspurifyError):

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
-from .states import ASupportState, GDState, PauliAxis, _checked_dim, pauli_flip_mask
-from .transforms import bit_plane, parity_lookup, spread_submasks, wht_bits
+from .states import ASupportState, GDState, PauliAxis, _checked_dim, _depolarizing_pass, _power_table, pauli_flip_mask
+from .transforms import parity_lookup, spread_submasks, wht_bits
 
 
 class Protocol(Enum):
@@ -88,34 +88,18 @@ class StopRule:
     r_max: int = 200
 
 
-@lru_cache(maxsize=1)  # a trajectory runs at one p; 2^n doubles per entry
-def _depolarize_multiplier(g: Graph, q: float) -> np.ndarray:
-    """Transform-domain multiplier of one depolarizing pass over every vertex.
-
-    The per-vertex kernel transforms to 1 on characters orthogonal to both
-    the vertex bit and its neighbor mask, and to q elsewhere, so the composed
-    multiplier is q to the number of violated vertices. That count (at most
-    n, so it fits a uint8) indexes a table of the n + 1 powers.
-    """
-    violated = np.zeros(g.dim, dtype=np.uint8)
-    for v in range(g.n):
-        violated += bit_plane(g.n, v) | parity_lookup(g.n, g.neighbor_mask[v])
-    mult = np.float_power(q, np.arange(g.n + 1))[violated]
-    mult.setflags(write=False)
-    return mult
+# The gate-noise multiplier. A trajectory runs at one p (2^n doubles per entry);
+# the channel-noise input builds it uncached, so a member loop never evicts it.
+_depolarize_multiplier = lru_cache(maxsize=1)(_depolarizing_pass)
 
 
 @lru_cache(maxsize=2)  # P1 and P2 alternate within one trajectory
 def _measure_flip_multiplier(g: Graph, f_m: float, which: Protocol) -> np.ndarray:
     """Transform-domain multiplier of the recorded-syndrome flip distribution:
     each measured qubit flips its classical outcome independently with
-    probability f_m."""
-    keep = 1.0 - f_m
-    mult = np.ones(g.dim)
-    for mask in _outcome_flip_masks(g, which):
-        mult *= np.where(parity_lookup(g.n, mask), keep - f_m, keep + f_m)
-    mult.setflags(write=False)
-    return mult
+    probability f_m, a kernel that is 1 - 2 f_m on odd parity with its mask."""
+    planes = (parity_lookup(g.n, mask) for mask in _outcome_flip_masks(g, which))
+    return _power_table(g.n, planes, 1.0 - 2.0 * f_m)
 
 
 def _outcome_flip_masks(g: Graph, which: Protocol) -> list[int]:

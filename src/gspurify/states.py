@@ -3,8 +3,9 @@
 A state is a normalized vector of 2^n nonnegative coefficients indexed by the
 syndrome integer (a protocol round's output holds its Walsh-Hadamard spectrum
 instead, see GDState); the coefficient at index 0 is the fidelity with the
-target graph state. Every channel here acts as an XOR shuffle of probability mass
-between indices, so trace is preserved exactly.
+target graph state. A channel on one vertex shuffles probability mass between
+indices by XOR, so trace is preserved exactly; noise on every vertex at once is
+its transform-domain multiplier (`_power_table`), as the channel-noise input is.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BadDistribution, BadParam, NegativeCoefficient, TooLarge
 from .graphs import MAX_QUBITS, Graph, syndrome_parts
-from .transforms import bit_positions, spread_submasks, wht_bits
+from .transforms import bit_plane, bit_positions, parity_lookup, spread_submasks, wht_bits
 
 NEG_SLACK = 1e-15  # coefficients above -NEG_SLACK are clamped, below raise
 REL_NEG_TOL = 1e-12  # transform roundoff guard on coefficients read out of a spectrum
@@ -119,7 +120,7 @@ def pauli_flip_mask(g: Graph, v: int, axis: PauliAxis) -> int:
 
     Z toggles the vertex's own bit, X toggles all neighbor bits, Y both:
     conjugating a graph-basis projector by the Pauli moves index m to
-    m ^ mask. Every channel, input build and outcome-flip mask of the fast
+    m ^ mask. Every channel and outcome-flip mask of the fast
     path takes the rule from here; the dense oracle keeps its own copy.
     """
     if not 0 <= v < g.n:
@@ -191,28 +192,34 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
     return apply_pauli_channel(s, v, (q + r, r, r, r))
 
 
+def _power_table(n: int, planes, base: float) -> np.ndarray:
+    """Transform-domain multiplier of independent noise on every vertex, read-only:
+    each uint8 plane marks the characters where one vertex's kernel transforms to
+    base (it is 1 elsewhere), and their count, at most n, indexes n + 1 powers."""
+    count = np.zeros(1 << n, dtype=np.uint8)
+    for plane in planes:
+        count += plane
+    mult = np.float_power(base, np.arange(n + 1))[count]
+    mult.setflags(write=False)
+    return mult
+
+
+def _depolarizing_pass(g: Graph, q: float) -> np.ndarray:
+    """Multiplier of a depolarizing pass of quality q over every vertex: the
+    kernel is q except on characters orthogonal to the vertex bit and its
+    neighbor mask."""
+    planes = (bit_plane(g.n, v) | parity_lookup(g.n, g.neighbor_mask[v]) for v in range(g.n))
+    return _power_table(g.n, planes, q)
+
+
 def prepared_with_channel_noise(g: Graph, q: float) -> GDState:
     """Target state after sending each particle through a depolarizing channel
-    of quality q (the per-particle transmission-noise input family).
-
-    Each vertex in turn mixes keep, then the X, Y and Z images, as
-    depolarizing_channel does, on raw coefficients. XOR with masks below 2^k
-    keeps the support below 2^k, so every coefficient above the highest bit
-    that the masks so far reach is exactly 0: the build starts from the
-    target's one coefficient and each vertex mixes only that prefix, which
-    is all 2^n coefficients by the last vertex."""
+    of quality q (the per-particle transmission-noise input family): the pure
+    target's spectrum is all ones, so the pass's multiplier is the spectrum."""
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
-    _checked_dim(g.n)  # the build grows to all 2^n coefficients
-    r = (1.0 - q) / 4.0
-    lam, k = np.ones(1), 0
-    for v in range(g.n):
-        moves = [(r, pauli_flip_mask(g, v, axis)) for axis in PauliAxis]
-        k = max(k, *(mask.bit_length() for _, mask in moves))
-        if lam.size < 1 << k:
-            lam = np.concatenate((lam, np.zeros((1 << k) - lam.size)))
-        lam = _pauli_mix(lam, k, q + r, moves)
-    return GDState(g, lam)
+    _checked_dim(g.n)
+    return GDState.from_spectrum(g, _depolarizing_pass(g, q))
 
 
 def global_white(g: Graph, x: float) -> GDState:

@@ -21,7 +21,7 @@ from gspurify.analysis import (
     restricted_gain_region,
     threshold_report,
 )
-from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam, TooLarge
+from gspurify.errors import BadParam, BracketError, EmptyRegion, InvalidParam, NoFixedPoint, TooLarge
 from gspurify.graphs import GraphKind, standard_graph
 from gspurify.protocol import _depolarize_multiplier, _measure_flip_multiplier, a_support_steps, iterate, p1_step
 from gspurify.states import (
@@ -122,6 +122,23 @@ def test_q_min_regression_and_examples(path4):
     g2 = standard_graph(GraphKind.GHZ, 2)
     p2 = standard_graph(GraphKind.LINEAR_CLUSTER, 2)
     assert q_min(g2, 1.0) == pytest.approx(q_min(p2, 1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,n,family,quantity,p", [
+    (GraphKind.GHZ, 3, Family.RHO_A, "fmin", 0.99),
+    (GraphKind.GHZ, 4, Family.RHO_X, "fmin", 0.95),
+    (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_X, "fmin", 0.9),
+    (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "qmin", 0.9),
+], ids=["ghz3-rho-a", "ghz4-rho-x", "path4-rho-x", "path4-qmin"])
+def test_climb_refused_without_purified_fixed_point(kind, n, family, quantity, p):
+    # Below p = 1 the climb target is the fixed point reached from the pure
+    # target, and here it is a failure plateau: the P1-only map on GHZ-3
+    # decays to F = 0.2499 at any p < 1, GHZ-4 settles on a half-half
+    # mixture at F = 0.4817 and path-4 on the uniform state. Climbing to a
+    # plateau's fidelity would report the plateau, so the search refuses.
+    g = standard_graph(kind, n)
+    with pytest.raises(NoFixedPoint, match=f"at p={p} "):
+        threshold_report(g, family, quantity, p)
 
 
 def test_p_min_family_validation(path4):

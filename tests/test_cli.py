@@ -81,6 +81,15 @@ def test_threshold_restricted_ghz5(capsys):
     assert abs(float(cells[5]) - 0.840896) < 1e-3
 
 
+def test_threshold_without_purified_fixed_point_exits_numeric(capsys):
+    # GHZ-3's P1-only fixed point decays at p < 1, so there is no f_min to
+    # climb to; the run names p and prints no row.
+    code, out, err = run(capsys, "threshold", "--graph", "ghz", "--n", "3", "--family", "rho-a",
+                         "--quantity", "fmin", "--p", "0.99")
+    assert code == EXIT_NUMERIC
+    assert out == "" and "at p=0.99 " in err and "failure plateau" in err
+
+
 def test_compare_bepp_dominates(capsys):
     code, out, _ = run(capsys, "compare-bepp", "--graph", "path", "--n", "4",
                        "--p-grid", "0.96:1.0:0.01")

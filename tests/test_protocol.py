@@ -206,8 +206,9 @@ def test_empty_schedule_rejected(path4):
 
 
 def test_non_finite_acceptance_rejected(path4):
-    # a state whose coefficients were corrupted after validation
-    s = prepared_with_channel_noise(path4, 0.9)
+    # a state whose coefficients were corrupted after validation; built from
+    # coefficients, so a round reads its spectrum from them
+    s = GDState(path4, prepared_with_channel_noise(path4, 0.9).lam)
     lam = s.lam.copy()
     lam[3] = np.nan
     object.__setattr__(s, "lam", lam)
@@ -269,14 +270,16 @@ def popcount_depolarize_multiplier(g, q):
 
 
 def popcount_measure_flip_multiplier(g, f_m, which):
-    """The outcome-flip multiplier from uint64 popcounts and a float sign
-    per vertex, the same reference."""
+    """The outcome-flip multiplier from uint64 popcounts and an element-wise
+    power of 1 - 2 f_m, the same reference. That each flip transforms to
+    1 - 2 f_m on odd parity is checked on its own against direct sums over
+    flip patterns (test_transform_round_matches_reference) and against the
+    dense oracle."""
     idx = np.arange(g.dim, dtype=np.uint64)
-    mult = np.ones(g.dim)
+    odd = np.zeros(g.dim, dtype=np.int64)
     for mask in _outcome_flip_masks(g, which):
-        parity = (np.bitwise_count(idx & np.uint64(mask)) & np.uint64(1)).astype(np.uint8)
-        mult *= (1.0 - f_m) + f_m * (1.0 - 2.0 * parity)
-    return mult
+        odd += (np.bitwise_count(idx & np.uint64(mask)) & np.uint64(1)).astype(np.int64)
+    return np.float_power(1.0 - 2.0 * f_m, odd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,10 +341,8 @@ def test_channels_match_gather_reference(data):
     r = (1.0 - q) / 4.0
     want = gather_mix(s.lam, q + r, gather_vertex_moves(g, v, r, r, r))
     assert np.array_equal(depolarizing_channel(s, v, q).lam, want)
-    want = pure_target(g).lam
-    for u in range(g.n):
-        want = gather_mix(want, q + r, gather_vertex_moves(g, u, r, r, r))
-    assert np.array_equal(prepared_with_channel_noise(g, q).lam, want)
+    # The channel-noise input is the gate-noise multiplier read as a spectrum.
+    assert np.array_equal(prepared_with_channel_noise(g, q).spectrum, popcount_depolarize_multiplier(g, q))
 
     flip = (1.0 - q) / 2.0
     want = s.lam

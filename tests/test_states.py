@@ -6,6 +6,7 @@ import pytest
 from gspurify import oracle
 from gspurify.errors import BadDistribution, BadParam, NegativeCoefficient
 from gspurify.graphs import GraphKind, standard_graph
+from gspurify.protocol import Protocol, _depolarize_multiplier, _measure_flip_multiplier
 from gspurify.states import (
     GDState,
     PauliAxis,
@@ -223,22 +224,25 @@ def test_multi_vertex_channels_match_per_vertex_chain(kind, n, rng):
         chain = pure_target(g)
         for v in range(g.n):
             chain = depolarizing_channel(chain, v, q)
-        assert np.array_equal(prepared_with_channel_noise(g, q).lam, chain.lam)
+        # built in the transform domain: the same coefficients up to roundoff
+        assert np.abs(prepared_with_channel_noise(g, q).lam - chain.lam).max() <= 1e-15
 
 
 def test_channel_peak_memory_n18(rng):
     # A Pauli image is a view of the input, so one channel call holds the
     # output and one scaled image at a time: no 2^n index arrays or gathers.
-    # The input build also holds the prefix it mixes; the transform holds
-    # its output, one block's buffers and at most one high pass's half
-    # vector of differences, whichever subset of bits it runs over.
+    # The input build and the outcome-flip multiplier hold their output, a
+    # uint8 count and a few uint8 planes; the transform holds its output,
+    # one block's buffers and at most one high pass's half vector of
+    # differences, whichever subset of bits it runs over.
     g = standard_graph(GraphKind.LINEAR_CLUSTER, 18)
     lam = rng.random(g.dim)
     s = GDState(g, lam / lam.sum())
     vector = 8 * g.dim
     for call, bound in ((lambda: apply_pauli_channel(s, 7, (0.7, 0.1, 0.1, 0.1)), 2.1),
                         (lambda: bitflip_b_noise(s, 0.8), 3.1),
-                        (lambda: prepared_with_channel_noise(g, 0.9), 3.1),
+                        (lambda: prepared_with_channel_noise(g, 0.9).spectrum, 1.5),
+                        (lambda: _measure_flip_multiplier.__wrapped__(g, 0.05, Protocol.P1), 1.5),
                         (lambda: wht_bits(lam, g.n, g.dim - 1), 1.6),
                         (lambda: wht_bits(lam, g.n, g.a_mask), 1.6),
                         (lambda: wht_bits(lam, g.n, (1 << WHT_BLOCK_BITS) - 1), 1.6)):
@@ -256,12 +260,24 @@ def test_channel_peak_memory_n18(rng):
                                        (GraphKind.CLOSED_CLUSTER, (18,)), (GraphKind.GHZ, (18,))],
                          ids=["path-18", "grid-3x6", "ring-18", "ghz-18"])
 def test_channel_noise_input_matches_full_width_chain_n18(kind, dims):
-    # The build mixes only the prefix the masks so far reach; the rest must
-    # be the exact zeros a full-width chain leaves there.
+    # The spectrum build against a full-width chain of coefficient shuffles:
+    # the coefficients read out of it agree to roundoff.
     g = standard_graph(kind, *dims)
     for q in (0.9, 0.5):
         want = depolarized_chain(g, pure_target(g).lam, q)
-        assert np.array_equal(prepared_with_channel_noise(g, q).lam, want)
+        assert np.abs(prepared_with_channel_noise(g, q).lam - want).max() <= 1e-15
+
+
+def test_channel_noise_input_leaves_gate_multiplier_cached(path4):
+    # A member loop builds one input per q at a fixed gate p: each input
+    # build must leave the one cached gate-noise multiplier in place.
+    _depolarize_multiplier(path4, 0.97)
+    misses = _depolarize_multiplier.cache_info().misses
+    for q in (0.9, 0.8, 0.97):
+        s = prepared_with_channel_noise(path4, q)
+        _depolarize_multiplier(path4, 0.97)
+        assert _depolarize_multiplier.cache_info().misses == misses
+    assert np.array_equal(s.spectrum, _depolarize_multiplier(path4, 0.97))
 
 
 def test_rho_a_support_embeds_to_family(ring4):
