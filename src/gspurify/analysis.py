@@ -153,15 +153,16 @@ def _fixed_point_full(s0: GDState, steps: list[tuple[str, StepFn]]) -> tuple[flo
     return (float(limit_prev) if limit_prev is not None else f_prev), state
 
 
-def f_max(g: Graph, p: float, schedule: tuple[Protocol, ...] = (Protocol.P1, Protocol.P2)) -> float:
+def f_max(g: Graph, p: float) -> float:
     """Stationary fidelity of the gate-noisy protocol with perfect
     measurements, reached by iterating from the pure target state. Returns
-    1.0 for perfect operations."""
+    1.0 for perfect operations; a p whose iteration settles on a failure
+    plateau is refused with NoFixedPoint (`_purified_target`)."""
     if not 0.0 < p <= 1.0:
         raise BadParam(f"p={p} outside (0,1]")
     if p == 1.0:
         return 1.0
-    return _fixed_point_full(pure_target(g), standard_steps(schedule, p, 0.0))[0]
+    return _purified_target(g, p, standard_steps((Protocol.P1, Protocol.P2), p, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +488,9 @@ def dejmps_step(b: BellDiag, p: float = 1.0) -> tuple[BellDiag, float]:
 
 
 def dejmps_fixed_point(p: float, start: BellDiag | None = None) -> BellDiag:
-    """Attracting fixed point of the noisy bipartite recurrence."""
+    """Attracting fixed point of the noisy bipartite recurrence, refused
+    with NoFixedPoint when DEJMPS_ROUNDS rounds pass without it settling
+    (critical slowing just above the bipartite threshold)."""
     b = start if start is not None else BellDiag(1.0, 0.0, 0.0, 0.0)
     prev = b.vec
     for _ in range(DEJMPS_ROUNDS):
@@ -495,7 +498,7 @@ def dejmps_fixed_point(p: float, start: BellDiag | None = None) -> BellDiag:
         if np.abs(b.vec - prev).max() < 1e-15:
             return b
         prev = b.vec
-    return b
+    raise NoFixedPoint(f"bipartite recurrence at p={p} did not settle within {DEJMPS_ROUNDS} rounds")
 
 
 def bepp_bound(g: Graph, p: float) -> float:

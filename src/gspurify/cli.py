@@ -39,7 +39,8 @@ MAX_ROUNDS = 100_000  # a purify trace keeps one row per round
 
 @dataclass
 class Scenario:
-    """A fully resolved run description, writable to and readable from JSON."""
+    """A fully resolved run description: `parse_scenario` builds one from
+    the flags and an optional JSON scenario file."""
 
     graph: str = "path"  # kind name, or "file"
     n: int = 4
@@ -86,19 +87,6 @@ class Scenario:
     def p_values(self) -> list[float]:
         """The points of the p grid, or the single p."""
         return _parse_grid(self.p_grid, "p-grid") if self.p_grid else [self.p]
-
-    def to_json(self) -> str:
-        """The fields away from their defaults, as a JSON object: read back,
-        it gives the same scenario and sets no other field."""
-        default = asdict(Scenario())
-        fields = {key: value for key, value in asdict(self).items() if value != default[key]}
-        return json.dumps(fields, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str, source: str = "<string>") -> "Scenario":
-        sc = Scenario(**_scenario_fields(text, source))
-        sc.validate()
-        return sc
 
 
 def _scenario_fields(text: str, source: str) -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
 from .states import ASupportState, GDState, PauliAxis, _checked_dim, _depolarizing_pass, _power_table, pauli_flip_mask
-from .transforms import parity_lookup, spread_submasks, wht_bits
+from .transforms import spread_submasks, wht_bits
 
 
 class Protocol(Enum):
@@ -97,17 +97,11 @@ _depolarize_multiplier = lru_cache(maxsize=1)(_depolarizing_pass)
 def _measure_flip_multiplier(g: Graph, f_m: float, which: Protocol) -> np.ndarray:
     """Transform-domain multiplier of the recorded-syndrome flip distribution:
     each measured qubit flips its classical outcome independently with
-    probability f_m, a kernel that is 1 - 2 f_m on odd parity with its mask."""
-    planes = (parity_lookup(g.n, mask) for mask in _outcome_flip_masks(g, which))
-    return _power_table(g.n, planes, 1.0 - 2.0 * f_m)
-
-
-def _outcome_flip_masks(g: Graph, which: Protocol) -> list[int]:
-    """Per vertex, the syndrome bits that flipping its recorded outcome
-    toggles: a flip on a checked-set vertex toggles its own syndrome bit, a
-    flip on the other set toggles the syndrome bits of its neighbors."""
-    checked = g.a_vertices if which is Protocol.P1 else g.b_vertices
-    return [pauli_flip_mask(g, v, PauliAxis.Z if v in checked else PauliAxis.X) for v in range(g.n)]
+    probability f_m. A flip on a vertex of the coincidence class toggles its
+    own syndrome bit, one on the other class its neighbors' bits, so its
+    kernel is 1 - 2 f_m on characters of odd parity with that mask."""
+    coin_mask = _coincidence_mask(g, which)
+    return _power_table(g, coin_mask, coin_mask ^ (g.dim - 1), 1.0 - 2.0 * f_m)
 
 
 def _coincidence_mask(g: Graph, which: Protocol) -> int:

@@ -5,7 +5,8 @@ syndrome integer (a protocol round's output holds its Walsh-Hadamard spectrum
 instead, see GDState); the coefficient at index 0 is the fidelity with the
 target graph state. A channel on one vertex shuffles probability mass between
 indices by XOR, so trace is preserved exactly; noise on every vertex at once is
-its transform-domain multiplier (`_power_table`), as the channel-noise input is.
+its transform-domain multiplier (`_power_table`), as the channel-noise input is,
+counted from one XOR span of the neighbor masks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import BadDistribution, BadParam, NegativeCoefficient, TooLarge
 from .graphs import MAX_QUBITS, Graph, syndrome_parts
-from .transforms import bit_plane, bit_positions, parity_lookup, spread_submasks, wht_bits
+from .transforms import bit_positions, spread_submasks, wht_bits, xor_span
 
 NEG_SLACK = 1e-15  # coefficients above -NEG_SLACK are clamped, below raise
 REL_NEG_TOL = 1e-12  # transform roundoff guard on coefficients read out of a spectrum
@@ -120,8 +121,9 @@ def pauli_flip_mask(g: Graph, v: int, axis: PauliAxis) -> int:
 
     Z toggles the vertex's own bit, X toggles all neighbor bits, Y both:
     conjugating a graph-basis projector by the Pauli moves index m to
-    m ^ mask. Every channel and outcome-flip mask of the fast
-    path takes the rule from here; the dense oracle keeps its own copy.
+    m ^ mask. Every channel of the fast path takes its masks from here,
+    and `_power_table` reads the same rule off the neighbor masks; the
+    dense oracle keeps its own copy.
     """
     if not 0 <= v < g.n:
         raise BadParam(f"vertex {v} out of range for n={g.n}")
@@ -192,14 +194,22 @@ def depolarizing_channel(s: GDState, v: int, q: float) -> GDState:
     return apply_pauli_channel(s, v, (q + r, r, r, r))
 
 
-def _power_table(n: int, planes, base: float) -> np.ndarray:
-    """Transform-domain multiplier of independent noise on every vertex, read-only:
-    each uint8 plane marks the characters where one vertex's kernel transforms to
-    base (it is 1 elsewhere), and their count, at most n, indexes n + 1 powers."""
-    count = np.zeros(1 << n, dtype=np.uint8)
-    for plane in planes:
-        count += plane
-    mult = np.float_power(base, np.arange(n + 1))[count]
+def _power_table(g: Graph, own: int, nbr: int, base: float) -> np.ndarray:
+    """Transform-domain multiplier of independent noise on every vertex, read-only.
+
+    Vertex v's kernel transforms to base on the characters k it sees and to
+    1 elsewhere: for v in own, those with bit v set, and for v in nbr, those
+    with odd parity on v's neighbor mask. That parity is bit v of the XOR
+    of the neighbor masks of k's bits, so bit v of
+    seen(k) = (k & own) | (xor_span(neighbor_mask)[k] & nbr) marks it, and
+    the count of marks, at most n, indexes n + 1 powers.
+    """
+    seen = xor_span(g.neighbor_mask)
+    seen &= nbr
+    seen |= xor_span([own & 1 << v for v in range(g.n)])  # k & own
+    count = np.bitwise_count(seen)
+    del seen  # gone before the powers come: the peak stays near one vector
+    mult = np.float_power(base, np.arange(g.n + 1))[count]
     mult.setflags(write=False)
     return mult
 
@@ -208,8 +218,7 @@ def _depolarizing_pass(g: Graph, q: float) -> np.ndarray:
     """Multiplier of a depolarizing pass of quality q over every vertex: the
     kernel is q except on characters orthogonal to the vertex bit and its
     neighbor mask."""
-    planes = (bit_plane(g.n, v) | parity_lookup(g.n, g.neighbor_mask[v]) for v in range(g.n))
-    return _power_table(g.n, planes, q)
+    return _power_table(g, g.dim - 1, g.dim - 1, q)
 
 
 def prepared_with_channel_noise(g: Graph, q: float) -> GDState:

@@ -145,50 +145,22 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
     return out
 
 
-PLANE_BLOCK_BITS = 10
-# Bit b of i for every i below 2^PLANE_BLOCK_BITS, one row per low bit b.
-_LOW_PLANES = (np.arange(1 << PLANE_BLOCK_BITS, dtype=np.uint16)
-               >> np.arange(PLANE_BLOCK_BITS, dtype=np.uint16)[:, None] & 1).astype(np.uint8)
-_LOW_PLANES.setflags(write=False)
-
-
-def bit_plane(n: int, b: int) -> np.ndarray:
-    """Bit b of i for i in 0..2^n-1, as a read-only uint8 array of 0/1.
-
-    A low bit's pattern repeats within 2^PLANE_BLOCK_BITS entries, so its
-    plane is a row of a precomputed table: a view when n is small, else
-    broadcast over the rest in long contiguous rows. A high bit's plane is
-    a (2^(n-b-1), 2, 2^b) block whose runs of zeros and ones are already long.
-    """
-    if b >= PLANE_BLOCK_BITS:
-        plane = np.empty(1 << n, dtype=np.uint8)
-        halves = plane.reshape(-1, 2, 1 << b)
-        halves[:, 0] = 0
-        halves[:, 1] = 1
-    elif n <= PLANE_BLOCK_BITS:
-        return _LOW_PLANES[b, : 1 << n]
-    else:
-        rows = (1 << (n - PLANE_BLOCK_BITS), 1 << PLANE_BLOCK_BITS)
-        plane = np.broadcast_to(_LOW_PLANES[b], rows).reshape(-1)
-    plane.setflags(write=False)
-    return plane
-
-
-def parity_lookup(n: int, mask: int) -> np.ndarray:
-    """parity(i & mask) for i in 0..2^n-1, as a uint8 array of 0/1: the XOR
-    of the bit planes of mask."""
-    out = np.zeros(1 << n, dtype=np.uint8)
-    for b in bit_positions(mask):
-        out ^= bit_plane(n, b)
+def xor_span(cols) -> np.ndarray:
+    """out[k] is the XOR of cols[b] over the set bits b of k, for k in
+    0..2^len(cols)-1, so out[i ^ j] == out[i] ^ out[j]: int32 while every
+    column is below 2^31, else int64. Built by binary-counter doubling: the
+    entries from 2^b to 2^(b+1) are the ones below 2^b XOR cols[b]."""
+    cols = [_as_mask(c) for c in cols]
+    if any(c < 0 for c in cols):
+        raise ValueError(f"columns {cols} hold a negative mask")
+    dtype = np.int32 if all(c < 1 << 31 for c in cols) else np.int64
+    out = np.zeros(1 << len(cols), dtype=dtype)
+    for b, c in enumerate(cols):
+        np.bitwise_xor(out[: 1 << b], c, out=out[1 << b : 2 << b])
     return out
 
 
 def spread_submasks(mask: int) -> np.ndarray:
     """All 2^popcount(mask) submasks of mask, ordered so that the XOR of the
     i-th and j-th entries is the (i^j)-th entry (binary-counter order)."""
-    bits = bit_positions(mask)
-    out = np.zeros(1 << len(bits), dtype=np.int64)
-    for i, b in enumerate(bits):
-        half = 1 << i
-        out[half : 2 * half] = out[:half] + (1 << b)
-    return out
+    return xor_span([1 << b for b in bit_positions(mask)])

@@ -1,8 +1,10 @@
 """The direct-sum protocol round the tests compare p1_step and p2_step
 against: depolarizing by index shuffles, then one XOR cross-convolution per
 recorded flip pattern, in the coefficient domain throughout. It shares no
-code with the spectral round beyond the noise-range check, the flip masks
-and the acceptance test.
+code with the spectral round beyond the noise-range check, the coincidence
+masks and the acceptance test: its outcome-flip masks are its own copy of
+the rule, one `pauli_flip_mask` per vertex, where the round counts flips
+from the neighbor masks at once.
 
 Also here are the plain kernels the fast ones must match to the bit: the
 butterfly loop with no cache blocking, and the Pauli shuffle through 2^n
@@ -23,9 +25,8 @@ from gspurify.protocol import (
     _acceptance,
     _check_noise,
     _coincidence_mask,
-    _outcome_flip_masks,
 )
-from gspurify.states import GDState
+from gspurify.states import GDState, PauliAxis, pauli_flip_mask
 from gspurify.transforms import spread_submasks
 
 
@@ -90,13 +91,21 @@ def xor_cross_naive(a: np.ndarray, b: np.ndarray, n: int, conv_mask: int) -> np.
     return out
 
 
+def outcome_flip_masks(g: Graph, which: Protocol) -> list[int]:
+    """Per vertex, the syndrome bits that flipping its recorded outcome
+    toggles: a flip on a checked-set vertex toggles its own syndrome bit, a
+    flip on the other set toggles the syndrome bits of its neighbors."""
+    checked = g.a_vertices if which is Protocol.P1 else g.b_vertices
+    return [pauli_flip_mask(g, v, PauliAxis.Z if v in checked else PauliAxis.X) for v in range(g.n)]
+
+
 def flip_weights_by_pattern(g: Graph, f_m: float, which: Protocol):
     """Explicit (syndrome pattern, weight) pairs of the recorded-outcome
     flips, composed by convolving the per-vertex flip kernels directly."""
     w = np.zeros(g.dim)
     w[0] = 1.0
     idx = np.arange(g.dim)
-    for mask in _outcome_flip_masks(g, which):
+    for mask in outcome_flip_masks(g, which):
         w = (1.0 - f_m) * w + f_m * w[idx ^ mask]
     for a in spread_submasks(_coincidence_mask(g, which)):
         yield int(a), float(w[a])

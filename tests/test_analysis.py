@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gspurify.analysis import (
+    DEJMPS_ROUNDS,
     BellDiag,
     Family,
     ThresholdReport,
@@ -94,8 +95,8 @@ def test_f_max_regression_path4(path4):
     assert f_max(path4, 0.97) == pytest.approx(0.9237740042879217, abs=1e-8)
     with pytest.raises(BadParam):
         f_max(path4, 0.0)
-    with pytest.raises(BadParam, match="nonempty"):
-        f_max(path4, 0.97, schedule=())
+    with pytest.raises(NoFixedPoint, match="at p=0.9 .*failure plateau"):
+        f_max(path4, 0.9)
 
 
 def test_f_max_monotone_in_p(path4):
@@ -129,13 +130,15 @@ def test_q_min_regression_and_examples(path4):
     (GraphKind.GHZ, 4, Family.RHO_X, "fmin", 0.95),
     (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_X, "fmin", 0.9),
     (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "qmin", 0.9),
-], ids=["ghz3-rho-a", "ghz4-rho-x", "path4-rho-x", "path4-qmin"])
+    (GraphKind.LINEAR_CLUSTER, 4, Family.RHO_Q, "fmax", 0.9),
+], ids=["ghz3-rho-a", "ghz4-rho-x", "path4-rho-x", "path4-qmin", "path4-fmax"])
 def test_climb_refused_without_purified_fixed_point(kind, n, family, quantity, p):
-    # Below p = 1 the climb target is the fixed point reached from the pure
-    # target, and here it is a failure plateau: the P1-only map on GHZ-3
-    # decays to F = 0.2499 at any p < 1, GHZ-4 settles on a half-half
-    # mixture at F = 0.4817 and path-4 on the uniform state. Climbing to a
-    # plateau's fidelity would report the plateau, so the search refuses.
+    # Below p = 1 the climb target, and f_max itself, is the fixed point
+    # reached from the pure target, and here it is a failure plateau: the
+    # P1-only map on GHZ-3 decays to F = 0.2499 at any p < 1, GHZ-4 settles
+    # on a half-half mixture at F = 0.4817 and path-4 on the uniform state.
+    # Climbing to a plateau's fidelity, or returning it as f_max, would
+    # report the plateau, so the search refuses.
     g = standard_graph(kind, n)
     with pytest.raises(NoFixedPoint, match=f"at p={p} "):
         threshold_report(g, family, quantity, p)
@@ -352,6 +355,16 @@ def test_dejmps_fixed_point_regression():
     # attracting: the same point from a different start
     fp2 = dejmps_fixed_point(0.97, start=BellDiag(0.7, 0.1, 0.1, 0.1))
     assert np.abs(fp.vec - fp2.vec).max() < 1e-9
+
+
+def test_dejmps_fixed_point_refused_mid_crawl(path4):
+    # Just above the bipartite threshold (p ~ 0.92973903) the recurrence
+    # slows critically and the round budget ends before it settles. The
+    # last iterate is then wherever the crawl stopped (F = 0.68 at
+    # p = 0.92973902772, 0.78 at 0.9297391), not the fixed point, so it is
+    # refused, and so is the bound built on it.
+    with pytest.raises(NoFixedPoint, match=f"p=0.9297391 .*{DEJMPS_ROUNDS} rounds"):
+        bepp_bound(path4, 0.9297391)
 
 
 def test_bepp_bound(path4):

@@ -21,7 +21,6 @@ from gspurify.cli import (
     Scenario,
     run_command,
 )
-from gspurify.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -90,6 +89,18 @@ def test_threshold_without_purified_fixed_point_exits_numeric(capsys):
     assert out == "" and "at p=0.99 " in err and "failure plateau" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("threshold", "--family", "rho-q", "--quantity", "fmax", "--p", "0.9"),
+    ("compare-bepp", "--p", "0.9297391"),
+], ids=["threshold-fmax", "compare-bepp"])
+def test_fmax_on_failure_plateau_exits_numeric(capsys, argv):
+    # Path-4 from the pure target settles on the uniform state (F = 1/16)
+    # at these p; that plateau is no stationary fidelity to print.
+    code, out, err = run(capsys, *argv, "--graph", "path", "--n", "4")
+    assert code == EXIT_NUMERIC
+    assert out == "" and "failure plateau" in err
+
+
 def test_compare_bepp_dominates(capsys):
     code, out, _ = run(capsys, "compare-bepp", "--graph", "path", "--n", "4",
                        "--p-grid", "0.96:1.0:0.01")
@@ -145,7 +156,7 @@ def test_odd_cycle_graph_file_with_context(capsys, tmp_path):
 
 
 def test_numeric_failure_exit(capsys):
-    # heavy gate noise collapses the bipartite fixed point
+    # heavy gate noise collapses the fixed points
     code, _, err = run(capsys, "compare-bepp", "--graph", "path", "--n", "4", "--p", "0.7")
     assert code == EXIT_NUMERIC
     assert "numerical failure" in err
@@ -165,40 +176,41 @@ def test_scenario_defaults():
     sc.validate()
 
 
-def test_scenario_roundtrip(tmp_path):
-    sc = Scenario(graph="ghz", n=5, family="rho-x", param=0.8, p=0.97)
-    text = sc.to_json()
-    back = Scenario.from_json(text)
-    assert back == sc
+def test_scenario_roundtrip(capsys, tmp_path):
+    # A scenario file and the same fields given as flags make the same run.
+    fields = {"graph": "ghz", "n": 5, "family": "rho-x", "param": 0.8, "p": 0.97}
     f = tmp_path / "scenario.json"
-    f.write_text(text)
-    sc2 = Scenario.from_json(f.read_text(), source=str(f))
-    assert sc2 == sc
+    f.write_text(json.dumps(fields))
+    flags = [a for key, value in fields.items() for a in (f"--{key}", str(value))]
+    via_file = run(capsys, "purify", "--scenario", str(f))
+    assert via_file[0] == EXIT_OK and via_file[1]
+    assert via_file == run(capsys, "purify", *flags)
 
 
-def test_scenario_validation():
-    with pytest.raises(ParseError):
-        Scenario.from_json(json.dumps({"graph": "torus"}))
-    with pytest.raises(ParseError):
-        Scenario.from_json(json.dumps({"p": 1.5}))
-    with pytest.raises(ParseError):
-        Scenario.from_json(json.dumps({"unknown_key": 1}))
-    with pytest.raises(ParseError, match=":1:"):
-        Scenario.from_json("{not json")
-    with pytest.raises(ParseError):
-        Scenario.from_json(json.dumps({"schedule": "P3"}))
-    with pytest.raises(ParseError, match="n must be int"):
-        Scenario.from_json(json.dumps({"n": "4"}))
-    with pytest.raises(ParseError):
-        Scenario.from_json(json.dumps({"r_max": True}))
-    with pytest.raises(ParseError):
-        Scenario.from_json(json.dumps([1, 2]))
-    assert Scenario.from_json(json.dumps({"p": 1, "rows": None})).p == 1
+def test_scenario_validation(capsys, tmp_path):
+    # Each file is refused with usage exit 2 and a message naming the fault.
+    f = tmp_path / "scenario.json"
+    for text, named in (('{"graph": "torus"}', "unknown graph kind 'torus'"),
+                        ('{"p": 1.5}', "p=1.5 outside"),
+                        ('{"unknown_key": 1}', "unknown scenario keys ['unknown_key']"),
+                        ("{not json", ":1:"),
+                        ('{"schedule": "P3"}', "schedule 'P3'"),
+                        ('{"n": "4"}', "n must be int"),
+                        ('{"r_max": true}', "r_max must be int"),
+                        ("[1, 2]", "must be a JSON object")):
+        f.write_text(text)
+        code, out, err = run(capsys, "purify", "--scenario", str(f))
+        assert (code, out) == (EXIT_USAGE, ""), text
+        assert named in err, text
+    # A null field is not given.
+    f.write_text(json.dumps({"p": 1, "rows": None}))
+    code, out, _ = run(capsys, "purify", "--scenario", str(f))
+    assert code == EXIT_OK and out
 
 
 def test_scenario_file_with_flag_override(capsys, tmp_path):
     f = tmp_path / "sc.json"
-    f.write_text(Scenario(graph="ghz", n=3, family="rho-a", param=0.7, schedule="P1").to_json())
+    f.write_text(json.dumps({"graph": "ghz", "n": 3, "family": "rho-a", "param": 0.7, "schedule": "P1"}))
     out = tmp_path / "trace.csv"
     code, _, _ = run(capsys, "purify", "--scenario", str(f), "--param", "1.0", "--out", str(out))
     assert code == EXIT_OK
@@ -409,7 +421,7 @@ def test_grid_with_cols_refuses_other_sizes(capsys, tmp_path, argv, named):
     assert code == EXIT_USAGE
     assert out == "" and named in err
     scenario = tmp_path / "grid.json"
-    scenario.write_text(Scenario(graph="grid", n=6, rows=2, cols=3, p=0.97).to_json())
+    scenario.write_text(json.dumps({"graph": "grid", "n": 6, "rows": 2, "cols": 3, "p": 0.97}))
     code, out, _ = run(capsys, "compare-bepp", "--scenario", str(scenario))
     assert code == EXIT_OK and out
 
@@ -519,12 +531,6 @@ def test_fields_given_at_their_default_are_refused_where_unread(capsys, tmp_path
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == "" and named in err
-
-
-def test_scenario_json_holds_only_what_it_sets():
-    sc = Scenario(graph="grid", n=6, rows=2, cols=3, p=0.97)
-    assert json.loads(sc.to_json()) == {"graph": "grid", "n": 6, "rows": 2, "cols": 3, "p": 0.97}
-    assert Scenario.from_json(sc.to_json()) == sc
 
 
 @pytest.mark.parametrize("command,quantity,p_cell", [

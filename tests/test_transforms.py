@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gspurify.transforms import WHT_BLOCK_BITS, _cg_layout, bit_positions, parity_lookup, spread_submasks, wht_bits
+from gspurify.transforms import WHT_BLOCK_BITS, _cg_layout, bit_positions, spread_submasks, wht_bits, xor_span
 from reference import plain_wht, xor_cross_naive
 
 
@@ -41,8 +41,8 @@ def test_numpy_integer_masks(mask):
     vec = np.arange(8.0)
     assert bit_positions(mask) == [0, 2]
     assert np.array_equal(wht_bits(vec, 3, mask), wht_bits(vec, 3, 5))
-    assert np.array_equal(parity_lookup(3, mask), parity_lookup(3, 5))
     assert np.array_equal(spread_submasks(mask), spread_submasks(5))
+    assert np.array_equal(xor_span([mask, 3]), xor_span([5, 3]))
 
 
 @pytest.mark.parametrize("mask", [True, 5.0], ids=["bool", "float"])
@@ -51,7 +51,7 @@ def test_non_integer_masks_refused(mask):
     # the mask's TypeError.
     with pytest.raises(TypeError, match="mask"):
         wht_bits(np.ones(5), 3, mask)
-    for call in (bit_positions, lambda m: parity_lookup(3, m), spread_submasks):
+    for call in (bit_positions, spread_submasks, lambda m: xor_span([3, m])):
         with pytest.raises(TypeError, match="mask"):
             call(mask)
 
@@ -160,9 +160,24 @@ def test_spread_submasks_rank_xor():
             assert subs[i] ^ subs[j] == subs[i ^ j]
 
 
-def test_parity_and_sign_lookup():
-    n, mask = 5, 0b10101
-    par = parity_lookup(n, mask)
-    for i in range(1 << n):
-        want = (i & mask).bit_count() & 1
-        assert par[i] == want
+@pytest.mark.parametrize("cols", [[0b101, 0b011, 0b110, 0b1000], [1 << 40, 3, (1 << 62) | 5, 1 << 31]],
+                         ids=["int32", "int64"])
+def test_xor_span_rank_xor(cols):
+    # Entry k is the XOR of the columns at k's set bits, so ranks XOR.
+    span = xor_span(cols)
+    assert span.dtype == (np.int32 if max(cols) < 1 << 31 else np.int64)
+    assert len(span) == 1 << len(cols)
+    for k in range(1 << len(cols)):
+        want = 0
+        for b in bit_positions(k):
+            want ^= cols[b]
+        assert int(span[k]) == want
+    for i in range(1 << len(cols)):
+        for j in range(1 << len(cols)):
+            assert span[i] ^ span[j] == span[i ^ j]
+
+
+def test_xor_span_of_no_columns_and_negative_columns():
+    assert np.array_equal(xor_span([]), [0])
+    with pytest.raises(ValueError, match="negative"):
+        xor_span([1, -2])
