@@ -86,19 +86,6 @@ class ThresholdReport:
     rounds_used: int
 
 
-def ra_map_closed_form(f: float, n_a: int) -> float:
-    """Fidelity map of one perfect A-information round on the rank-2^n_a
-    family: f^2 / (f^2 + (1-f)^2 / (2^n_a - 1))."""
-    if not 0.0 <= f <= 1.0:
-        raise BadParam(f"f={f} outside [0,1]")
-    if n_a < 1:
-        raise BadParam(f"n_a={n_a} must be at least 1")
-    denom = f * f + (1.0 - f) ** 2 / (2**n_a - 1)
-    if denom == 0.0:
-        raise BadParam("map undefined: the input family member has zero weight")
-    return f * f / denom
-
-
 # ---------------------------------------------------------------------------
 # fixed points
 

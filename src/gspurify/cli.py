@@ -1,25 +1,32 @@
 """Command-line front end: scenarios, sweeps and CSV emission.
 
+The flags are the `Scenario` fields. threshold, scan and compare-bepp sweep
+their N and p points: a refused point becomes a `# refused,N=<n>,p=<p>,<why>`
+line and the others still run; the CSV is written if any point gave a row.
+
 Exit codes: 0 success, 2 usage or input-file problems (a graph of more than
 MAX_QUBITS vertices, an unreadable input file and an unwritable output path
-included), 3 numerical failures (bracket or zero-success conditions), 4
-oracle mismatch, 141 standard output closed before the output was written
-(as by `| head`).
+included), 3 numerical failures (bracket or zero-success conditions, or any
+refused sweep point), 4 oracle mismatch, 141 standard output closed before
+the output was written (as by `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from functools import cache
 
+from . import __version__
 from .analysis import QUANTITIES, STATE_FAMILIES, Family, _family_state, bepp_bound, f_max, threshold_report
-from .errors import DuplicateEdge, GspurifyError, InvalidParam, OddCycle, ParseError, TooLarge
+from .errors import DuplicateEdge, GspurifyError, InvalidParam, NoFixedPoint, OddCycle, ParseError, TooLarge
 from .graphs import MAX_QUBITS, Graph, GraphKind, parse_graph_text, standard_graph
 from .protocol import Protocol, StopRule, iterate
 from .selfcheck import run_equivalence_suite
@@ -86,7 +93,13 @@ class Scenario:
 
     def p_values(self) -> list[float]:
         """The points of the p grid, or the single p."""
-        return _parse_grid(self.p_grid, "p-grid") if self.p_grid else [self.p]
+        return _parse_grid(self.p_grid, "p-grid", float) if self.p_grid else [self.p]
+
+
+@cache
+def _field_hints() -> dict[str, type]:
+    """Each Scenario field's type hint, for the flags and the file reader."""
+    return typing.get_type_hints(Scenario)
 
 
 def _scenario_fields(text: str, source: str) -> dict:
@@ -97,7 +110,7 @@ def _scenario_fields(text: str, source: str) -> dict:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{source}: a scenario must be a JSON object")
-    hints = typing.get_type_hints(Scenario)
+    hints = _field_hints()
     unknown = set(data) - set(hints)
     if unknown:
         raise ParseError(f"{source}: unknown scenario keys {sorted(unknown)}")
@@ -152,14 +165,13 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
     if args.scenario:
         with _user_file(args.scenario) as fh:
             fields = _scenario_fields(fh.read(), args.scenario)
-    fields.update((key, getattr(args, key, None)) for key in asdict(Scenario())
-                  if getattr(args, key, None) is not None)
+    fields.update((key, getattr(args, key)) for key in _field_hints() if getattr(args, key) is not None)
     given = {key: value for key, value in fields.items() if value is not None}
     sc = Scenario(**given)
     sc.validate()
     reads = READS[args.command]
     # Each field the run would not read, with what leaves it unread.
-    unread = {key: args.command for key in asdict(sc) if key not in reads}
+    unread = {key: args.command for key in _field_hints() if key not in reads}
     if "quantity" in reads:
         if sc.quantity is None:
             raise ParseError(f"{args.command} needs --quantity ({'|'.join(QUANTITIES)})")
@@ -222,16 +234,17 @@ def _resolve_graph(sc: Scenario) -> Graph:
     return standard_graph(GraphKind(sc.graph), *dims)
 
 
-def _parse_grid(spec: str, name: str) -> list[float]:
-    """lo, lo + step, ... up to hi; refused at its point past MAX_GRID_POINTS."""
+def _parse_grid(spec: str, name: str, num: type) -> list:
+    """lo, lo + step, ... up to hi as num (default step 1 for int, hi - lo or 1
+    for float); refused at its point past MAX_GRID_POINTS."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ParseError(f"--{name} must be lo:hi[:step], got {spec!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else (hi - lo) or 1.0
+        lo, hi = num(parts[0]), num(parts[1])
+        step = num(parts[2]) if len(parts) == 3 else 1 if num is int else (hi - lo) or 1.0
     except ValueError:
-        raise ParseError(f"--{name}: non-numeric bound in {spec!r}") from None
+        raise ParseError(f"--{name}: non-{'integer' if num is int else 'numeric'} bound in {spec!r}") from None
     if not (lo <= hi and step > 0):  # a NaN bound or step fails it too
         raise ParseError(f"--{name}: need lo <= hi and step > 0 in {spec!r}")
     grid = []
@@ -242,22 +255,6 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         grid.append(round(x, 12))
         x += step
     return grid
-
-
-def _parse_int_grid(spec: str, name: str) -> list[int]:
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise ParseError(f"--{name} must be lo:hi[:step], got {spec!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-    except ValueError:
-        raise ParseError(f"--{name}: non-integer bound in {spec!r}") from None
-    if hi < lo or step <= 0:
-        raise ParseError(f"--{name}: need lo <= hi and step > 0 in {spec!r}")
-    if (hi - lo) // step >= MAX_GRID_POINTS:
-        raise ParseError(f"--{name} {spec!r} holds more than {MAX_GRID_POINTS} points")
-    return list(range(lo, hi + 1, step))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -287,40 +284,56 @@ def _cmd_purify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_threshold(args) -> int:
-    """threshold, and scan: the same search at each point of an N and p grid
-    (a single point for threshold), scan's rows under a version line."""
-    from . import __version__
+def _threshold_row(sc: Scenario, label: str, g: Graph, p: float) -> str:
+    report = threshold_report(g, Family(sc.family), sc.quantity, p)
+    p_cell = FLOAT_FMT.format(p) if QUANTITIES[sc.quantity].reads_p else ""  # the search picked its own p
+    return (f"{label},{g.n},{report.family},{p_cell},{sc.quantity},{FLOAT_FMT.format(report.value)},"
+            f"{FLOAT_FMT.format(report.tolerance)},{report.rounds_used}\n")
 
+
+def _bepp_row(sc: Scenario, label: str, g: Graph, p: float) -> str:
+    """Both sides at p; one refusal names each side with no fixed point."""
+    values, refusals = [], []
+    for name, side in (("f_max", f_max), ("bepp_bound", bepp_bound)):
+        try:
+            values.append(side(g, p))
+        except NoFixedPoint as exc:
+            refusals.append(f"{name}: {exc}")
+    if refusals:
+        raise NoFixedPoint("; ".join(refusals))
+    return ",".join(FLOAT_FMT.format(x) for x in (p, *values)) + "\n"
+
+
+THRESHOLD_HEADER = "graph_kind,N,family,p,quantity,value,tolerance,rounds_used\n"
+# Each sweep command's CSV header and its row for one (graph, p) point.
+SWEEPS = {
+    "threshold": (THRESHOLD_HEADER, _threshold_row),
+    "scan": (f"# gspurify {__version__} scan\n{THRESHOLD_HEADER}", _threshold_row),
+    "compare-bepp": ("p,f_max_mepp,bepp_bound\n", _bepp_row),
+}
+
+
+def _cmd_sweep(args) -> int:
+    """threshold, scan and compare-bepp: one row per point of the N and p
+    grids; a refused point goes to stderr and a `# refused` line."""
     sc = parse_scenario(args)
-    n_values = _parse_int_grid(sc.n_grid, "n-grid") if sc.n_grid else [sc.n]
-    p_values = sc.p_values()
+    header, row = SWEEPS[args.command]
+    n_values = _parse_grid(sc.n_grid, "n-grid", int) if sc.n_grid else [sc.n]
     graphs = [_resolve_graph(replace(sc, n=n)) for n in n_values]
     label = sc.graph_file if sc.graph == "file" else sc.graph
-    rows = [f"# gspurify {__version__} scan\n"] if args.command == "scan" else []
-    rows.append("graph_kind,N,family,p,quantity,value,tolerance,rounds_used\n")
-    reads_p = QUANTITIES[sc.quantity].reads_p
-    for g in graphs:
-        for p in p_values:
-            report = threshold_report(g, Family(sc.family), sc.quantity, p)
-            p_cell = FLOAT_FMT.format(p) if reads_p else ""  # the search picked its own p
-            rows.append(f"{label},{g.n},{report.family},{p_cell},{sc.quantity},"
-                        f"{FLOAT_FMT.format(report.value)},{FLOAT_FMT.format(report.tolerance)},"
-                        f"{report.rounds_used}\n")
-    _emit("".join(rows), sc.out)
-    return EXIT_OK
-
-
-def _cmd_compare_bepp(args) -> int:
-    sc = parse_scenario(args)
-    g = _resolve_graph(sc)
-    rows = ["p,f_max_mepp,bepp_bound\n"]
-    for p in sc.p_values():
-        fm = f_max(g, p)
-        bb = bepp_bound(g, p)
-        rows.append(f"{FLOAT_FMT.format(p)},{FLOAT_FMT.format(fm)},{FLOAT_FMT.format(bb)}\n")
-    _emit("".join(rows), sc.out)
-    return EXIT_OK
+    lines, refused = [header], 0
+    for g, p in itertools.product(graphs, sc.p_values()):
+        try:
+            lines.append(row(sc, label, g, p))
+        except USAGE_ERRORS:
+            raise
+        except GspurifyError as exc:
+            sys.stderr.write(f"gspurify: numerical failure: {exc}\n")
+            lines.append(f"# refused,N={g.n},p={FLOAT_FMT.format(p)},{exc}\n")
+            refused += 1
+    if len(lines) - 1 > refused:  # at least one point gave a row
+        _emit("".join(lines), sc.out)
+    return EXIT_NUMERIC if refused else EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
@@ -345,40 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--scenario", help="JSON scenario file; flags override its values")
-        sp.add_argument("--graph", choices=list(KIND_READS), default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--rows", type=int, default=None)
-        sp.add_argument("--cols", type=int, default=None)
-        sp.add_argument("--graph-file", dest="graph_file", default=None)
-        sp.add_argument("--family", choices=[f.value for f in Family], default=None)
-        sp.add_argument("--param", type=float, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--f-m", dest="f_m", type=float, default=None)
-        sp.add_argument("--schedule", default=None, help="round sequence, e.g. P1P2 or P1")
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--r-max", dest="r_max", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--quantity", choices=list(QUANTITIES), default=None)
-        sp.add_argument("--p-grid", dest="p_grid", default=None)
-        sp.add_argument("--n-grid", dest="n_grid", default=None)
+        for key, hint in _field_hints().items():  # one flag per Scenario field
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=(typing.get_args(hint) or (hint,))[0],
+                            default=None)
 
     sp = sub.add_parser("purify", help="run one purification trace, emit the trace CSV")
     add_common(sp)
     sp.add_argument("--dump-final", default=None, help="write the final state's coefficients CSV here")
     sp.set_defaults(fn=_cmd_purify)
 
-    sp = sub.add_parser("threshold", help="compute one threshold quantity, emit a CSV row")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_threshold)
-
-    sp = sub.add_parser("scan", help="threshold/fixed-point grid over N and p")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_threshold)
-
-    sp = sub.add_parser("compare-bepp", help="stationary fidelity vs the bipartite bound over a p grid")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_compare_bepp)
+    for command, help_text in (("threshold", "compute one threshold quantity, emit a CSV row"),
+                               ("scan", "threshold/fixed-point grid over N and p"),
+                               ("compare-bepp", "stationary fidelity vs the bipartite bound over a p grid")):
+        sp = sub.add_parser(command, help=help_text)
+        add_common(sp)
+        sp.set_defaults(fn=_cmd_sweep)
 
     sp = sub.add_parser("oracle-check", help="run the dense-oracle equivalence suite")
     sp.add_argument("--seed", type=int, default=0)

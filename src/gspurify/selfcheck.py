@@ -133,24 +133,20 @@ def check_basis_permutation(seed: int = 0) -> list[CheckResult]:
     for label, kind, n in STANDARD_GRAPHS:
         g = standard_graph(kind, n)
         rng = np.random.default_rng(seed + 2)
+        perms = {which: oracle.cnot_layer_indexmap(g, which) for which in ("P1", "P2")}
         worst = 0.0
         for _ in range(BASIS_PAIRS):
             mu = int(rng.integers(0, g.dim))
             nu = int(rng.integers(0, g.dim))
             vec = oracle.two_copy_graph_basis_vector(g, mu, nu)
-            perm = oracle.cnot_layer_indexmap(g, "P1")
-            moved = np.zeros_like(vec)
-            moved[perm] = vec
-            mu_a, mu_b = mu & g.a_mask, mu & g.b_mask
-            nu_a, nu_b = nu & g.a_mask, nu & g.b_mask
-            tgt = oracle.two_copy_graph_basis_vector(g, mu_a | (mu_b ^ nu_b), (nu_a ^ mu_a) | nu_b)
-            worst = max(worst, abs(abs(float(np.dot(moved, tgt))) - 1.0))
-
-            perm2 = oracle.cnot_layer_indexmap(g, "P2")
-            moved2 = np.zeros_like(vec)
-            moved2[perm2] = vec
-            tgt2 = oracle.two_copy_graph_basis_vector(g, (mu_a ^ nu_a) | mu_b, nu_a | (nu_b ^ mu_b))
-            worst = max(worst, abs(abs(float(np.dot(moved2, tgt2))) - 1.0))
+            # P1 adds nu's B part to mu and mu's A part to nu; P2 the other parts.
+            mu_a, mu_b, nu_a, nu_b = mu & g.a_mask, mu & g.b_mask, nu & g.a_mask, nu & g.b_mask
+            targets = {"P1": (mu ^ nu_b, nu ^ mu_a), "P2": (mu ^ nu_a, nu ^ mu_b)}
+            for which, perm in perms.items():
+                moved = np.zeros_like(vec)
+                moved[perm] = vec
+                tgt = oracle.two_copy_graph_basis_vector(g, *targets[which])
+                worst = max(worst, abs(abs(float(np.dot(moved, tgt))) - 1.0))
         results.append(CheckResult(f"{label} CNOT layer basis map", worst, OVERLAP_TOL))
     return results
 

@@ -9,7 +9,8 @@ from the neighbor masks at once.
 Also here are the plain kernels the fast ones must match to the bit: the
 butterfly loop with no cache blocking, and the Pauli shuffle through 2^n
 index arrays instead of axis views; the ring gain region from 2^(n/2)
-vectors, which its closed form must match; and two graph helpers the tests
+vectors, which its closed form must match; the closed-form fidelity map of
+one perfect round on the rank-2^n_a family; and two graph helpers the tests
 build inputs with: a relabeled copy of a graph and its text form."""
 
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from gspurify.analysis import GAIN_EDGE_TOL, _bisect
-from gspurify.errors import EmptyRegion, InvalidParam
+from gspurify.errors import BadParam, EmptyRegion, InvalidParam
 from gspurify.graphs import Graph, GraphKind, build_graph, standard_graph
 from gspurify.protocol import (
     Protocol,
@@ -181,3 +182,16 @@ def relabeled(g: Graph, perm: Sequence[int]) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise InvalidParam("perm must be a permutation of 0..n-1")
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def ra_map_closed_form(f: float, n_a: int) -> float:
+    """Fidelity map of one perfect A-information round on the rank-2^n_a
+    family: f^2 / (f^2 + (1-f)^2 / (2^n_a - 1))."""
+    if not 0.0 <= f <= 1.0:
+        raise BadParam(f"f={f} outside [0,1]")
+    if n_a < 1:
+        raise BadParam(f"n_a={n_a} must be at least 1")
+    denom = f * f + (1.0 - f) ** 2 / (2**n_a - 1)
+    if denom == 0.0:
+        raise BadParam("map undefined: the input family member has zero weight")
+    return f * f / denom

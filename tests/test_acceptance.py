@@ -20,14 +20,13 @@ from gspurify.analysis import (
     f_min,
     p_min,
     q_min,
-    ra_map_closed_form,
     restricted_gain_region,
 )
 from gspurify.graphs import GraphKind, standard_graph
 from gspurify.protocol import p1_step
 from gspurify.selfcheck import run_equivalence_suite
 from gspurify.states import GDState, prepared_with_channel_noise, rho_a_family
-from reference import xor_cross_naive
+from reference import ra_map_closed_form, xor_cross_naive
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

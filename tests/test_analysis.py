@@ -18,7 +18,6 @@ from gspurify.analysis import (
     f_min,
     p_min,
     q_min,
-    ra_map_closed_form,
     restricted_gain_region,
     threshold_report,
 )
@@ -32,7 +31,7 @@ from gspurify.states import (
     rho_a_family,
     rho_a_support,
 )
-from reference import ring_signal, vector_gain_region
+from reference import ra_map_closed_form, ring_signal, vector_gain_region
 
 
 def test_closed_form_values():

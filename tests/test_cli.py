@@ -101,6 +101,75 @@ def test_fmax_on_failure_plateau_exits_numeric(capsys, argv):
     assert out == "" and "failure plateau" in err
 
 
+def _point(line, command):
+    """(N, p) of a `# refused` line or a row (compare-bepp runs path-4)."""
+    cells = line.split(",")
+    if line.startswith("# refused,"):
+        return int(cells[1].removeprefix("N=")), float(cells[2].removeprefix("p="))
+    return (4, float(cells[0])) if command == "compare-bepp" else (int(cells[1]), float(cells[3]))
+
+
+@pytest.mark.parametrize("argv,n_values,p_values,refused", [
+    (("scan", "--graph", "path", "--n", "4", "--p-grid", "0.92:0.96:0.02", "--quantity", "fmax",
+      "--family", "rho-q"), (4,), (0.92, 0.94, 0.96), {(4, 0.92)}),
+    (("compare-bepp", "--graph", "path", "--n", "4", "--p-grid", "0.90:1.0:0.02"), (4,),
+     (0.9, 0.92, 0.94, 0.96, 0.98, 1.0), {(4, 0.9), (4, 0.92)}),
+    (("scan", "--graph", "path", "--n-grid", "4:8:2", "--p-grid", "0.90:1.0:0.05", "--quantity", "fmax",
+      "--family", "rho-q"), (4, 6, 8), (0.9, 0.95, 1.0), {(4, 0.9), (6, 0.9), (8, 0.9)}),
+], ids=["scan-p-grid", "compare-bepp", "scan-n-and-p-grid"])
+def test_sweep_runs_past_refused_points(capsys, argv, n_values, p_values, refused):
+    # Each point of a sweep runs on its own: a refused point becomes a
+    # `# refused` line in grid order and a numerical-failure line on stderr,
+    # every other point prints the row its single-point run prints, and the
+    # run exits 3.
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    command = argv[0]
+    lines = out.splitlines()[1:] if command == "scan" else out.splitlines()  # past scan's version stamp
+    assert lines[0].startswith("p,f_max_mepp,bepp_bound" if command == "compare-bepp" else "graph_kind,N,")
+    body = lines[1:]
+    assert [_point(ln, command) for ln in body] == [(n, p) for n in n_values for p in p_values]
+    refusals = [ln for ln in body if ln.startswith("# refused,")]
+    assert {_point(ln, command) for ln in refusals} == refused and len(refusals) == len(refused)
+    # stderr holds the same refusals, as a single-point run words its one.
+    assert err == "".join(f"gspurify: numerical failure: {ln.split(',', 3)[3]}\n" for ln in refusals)
+    rows = [ln for ln in body if not ln.startswith("#")]
+    for row in rows:
+        n, p = _point(row, command)
+        if command == "compare-bepp":
+            single = ("compare-bepp", "--graph", "path", "--n", str(n), "--p", repr(p))
+        else:
+            single = ("threshold", "--graph", "path", "--n", str(n), "--family", "rho-q", "--quantity", "fmax",
+                      "--p", repr(p))
+        code, single_out, _ = run(capsys, *single)
+        assert code == EXIT_OK and single_out.splitlines()[1] == row
+
+
+@pytest.mark.parametrize("p,sides", [("0.9", ["f_max", "bepp_bound"]), ("0.93", ["f_max"])])
+def test_compare_bepp_refusal_names_each_side_that_refused(capsys, p, sides):
+    # Both sides run at each point, so a refusal says which of them found no
+    # fixed point: at 0.93 the bipartite recurrence still settles.
+    code, out, err = run(capsys, "compare-bepp", "--graph", "path", "--n", "4", "--p", p)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("gspurify: numerical failure: ") and err.count("\n") == 1
+    assert [side for side in ("f_max", "bepp_bound") if f"{side}: " in err] == sides
+
+
+def test_sweep_with_out_writes_its_refused_lines(capsys, tmp_path):
+    out = tmp_path / "bepp.csv"
+    code, stdout, _ = run(capsys, "compare-bepp", "--graph", "path", "--n", "4", "--p-grid", "0.92:0.94:0.02",
+                          "--out", str(out))
+    assert (code, stdout) == (EXIT_NUMERIC, "")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "p,f_max_mepp,bepp_bound"
+    assert lines[1].startswith("# refused,N=4,p=0.92000000000000004,f_max: ")
+    assert lines[2].startswith("0.93999999999999995,") and len(lines) == 3
+    # No point gave a row: nothing is written.
+    code, _, _ = run(capsys, "compare-bepp", "--graph", "path", "--n", "4", "--p-grid", "0.90:0.92:0.02",
+                     "--out", str(tmp_path / "none.csv"))
+    assert code == EXIT_NUMERIC and not (tmp_path / "none.csv").exists()
+
+
 def test_compare_bepp_dominates(capsys):
     code, out, _ = run(capsys, "compare-bepp", "--graph", "path", "--n", "4",
                        "--p-grid", "0.96:1.0:0.01")
@@ -177,14 +246,57 @@ def test_scenario_defaults():
 
 
 def test_scenario_roundtrip(capsys, tmp_path):
-    # A scenario file and the same fields given as flags make the same run.
-    fields = {"graph": "ghz", "n": 5, "family": "rho-x", "param": 0.8, "p": 0.97}
+    # Every field a command reads makes the same run from a scenario file as
+    # from its flag. The scenarios of a command together set each field it
+    # reads; each sets only fields its graph kind and grids leave read.
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+    out = tmp_path / "out.csv"
+    grid = {"graph": "grid", "n": 4, "rows": 2, "cols": 2}
+    from_file = {"graph": "file", "graph_file": str(p4), "out": str(out)}
+    scenarios = {
+        "purify": [{"graph": "ghz", "n": 5, "family": "rho-x", "param": 0.8, "p": 0.97},
+                   {**grid, "family": "rho-q", "param": 0.9, "p": 0.98, "f_m": 0.01, "schedule": "P1",
+                    "eps": 1e-5, "tol": 1e-10, "r_max": 3},
+                   {**from_file, "r_max": 2}],
+        "threshold": [{**grid, "family": "rho-q", "p": 0.98, "quantity": "fmax"},
+                      {**from_file, "family": "rho-x", "p": 0.99, "quantity": "fmax"}],
+        "scan": [{"graph": "path", "n_grid": "3:4", "family": "rho-q", "p_grid": "0.97:0.98:0.01",
+                  "quantity": "fmax"},
+                 {**grid, "family": "rho-q", "p": 0.98, "quantity": "fmax"},
+                 {**from_file, "family": "rho-q", "p": 0.98, "quantity": "fmax"}],
+        "compare-bepp": [{**grid, "p": 0.97}, {**from_file, "p_grid": "0.97:0.98:0.01"}],
+    }
+    assert set(scenarios) == set(READS)
     f = tmp_path / "scenario.json"
-    f.write_text(json.dumps(fields))
-    flags = [a for key, value in fields.items() for a in (f"--{key}", str(value))]
-    via_file = run(capsys, "purify", "--scenario", str(f))
-    assert via_file[0] == EXIT_OK and via_file[1]
-    assert via_file == run(capsys, "purify", *flags)
+    for command, cases in scenarios.items():
+        assert set().union(*cases) == set(READS[command]), command
+        for fields in cases:
+            f.write_text(json.dumps(fields))
+            flags = [a for key, value in fields.items() for a in (f"--{key.replace('_', '-')}", str(value))]
+            runs = []
+            for given in (("--scenario", str(f)), flags):
+                code, stdout, err = run(capsys, command, *given)
+                runs.append((code, stdout, err, out.read_text() if out.exists() else None))
+                out.unlink(missing_ok=True)
+            assert runs[0][0] == EXIT_OK and (runs[0][1] or runs[0][3]), (command, fields)
+            assert runs[0] == runs[1], (command, fields)
+
+
+@pytest.mark.parametrize("given,named", [
+    (("--graph", "torus"), "unknown graph kind 'torus'"),
+    (("--family", "rho-z"), "unknown family 'rho-z'"),
+    (("--quantity", "pmax"), "unknown quantity 'pmax'"),
+], ids=["graph", "family", "quantity"])
+def test_unknown_names_refused_alike_from_flag_and_file(capsys, tmp_path, given, named):
+    # One rule refuses an unknown graph kind, family or quantity, whether a
+    # flag or a scenario file names it.
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps({given[0].removeprefix("--"): given[1]}))
+    for source in (given, ("--scenario", str(f))):
+        code, out, err = run(capsys, "threshold", *source)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"gspurify: {named}\n"
 
 
 def test_scenario_validation(capsys, tmp_path):
