@@ -3,17 +3,20 @@
 Used both by the test suite (acceptance gate) and by the CLI's oracle-check
 command. Every check compares an independent dense computation against the
 corresponding coefficient-level one and records the worst absolute error.
+Past the dense oracle's sizes, the matrix-product round is checked against
+the butterfly round it replaces there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import oracle
 from .graphs import Graph, GraphKind, standard_graph
-from .protocol import a_support_steps, p1_step, p2_step
+from .protocol import Protocol, _protocol_step, a_support_steps, p1_step, p2_step
 from .states import (
     ASupportState,
     GDState,
@@ -24,6 +27,7 @@ from .states import (
     pauli_flip_mask,
     prepared_with_channel_noise,
 )
+from .transforms import PRODUCT_MAX_BITS
 
 STEP_TOL = 1e-10
 CHANNEL_TOL = 1e-12
@@ -33,6 +37,10 @@ STEP_F_M = (0.0, 0.02)  # measurement flip rates, at each of those
 BASIS_PAIRS = 20  # random (mu, nu) pairs per graph for the CNOT basis map
 RESTRICTED_STATES = 4  # random A-support states per graph
 RESTRICTED_P = (1.0, 0.8, 0.5)  # bit-flip qualities of the restricted round
+PRODUCT_TOL = 1e-12
+PRODUCT_SIZES = range(5, PRODUCT_MAX_BITS + 1)  # above the dense oracle's graphs
+QUICK_PRODUCT_SIZES = (5, 9, PRODUCT_MAX_BITS)
+PRODUCT_KINDS = (("path", GraphKind.LINEAR_CLUSTER), ("ghz", GraphKind.GHZ))
 
 STANDARD_GRAPHS: tuple[tuple[str, GraphKind, int], ...] = (
     ("ghz-2", GraphKind.GHZ, 2),  # the Bell pair, whose P1 round is the DEJMPS round
@@ -222,9 +230,32 @@ def check_restricted_support(seed: int = 0) -> list[CheckResult]:
     return results
 
 
+def check_product_rounds(seed: int = 0, states_per_graph: int = 3,
+                         sizes: Sequence[int] = PRODUCT_SIZES) -> list[CheckResult]:
+    """The matrix-product round against the butterfly round on the same
+    state, output spectrum and acceptance, for both protocols at every gate
+    quality and flip rate the dense checks use: the products serve every
+    round up to PRODUCT_MAX_BITS qubits, and the dense oracle stops at 4."""
+    results = []
+    for n in sizes:
+        for label, kind in PRODUCT_KINDS:
+            g = standard_graph(kind, n)
+            rng = np.random.default_rng(seed + 4)
+            worst = 0.0
+            for s in _random_diag_states(g, states_per_graph, rng):
+                for p in STEP_P:
+                    for f_m in STEP_F_M:
+                        for which in Protocol:
+                            got, want = (_protocol_step(s, which, p, f_m, products) for products in (True, False))
+                            worst = max(worst, float(np.abs(got.state.spectrum - want.state.spectrum).max()),
+                                        abs(got.p_succ - want.p_succ))
+            results.append(CheckResult(f"{label}-{n} product rounds vs butterflies", worst, PRODUCT_TOL))
+    return results
+
+
 def run_equivalence_suite(seed: int = 0, full: bool = True) -> list[CheckResult]:
     """The whole oracle-equivalence battery. `full=False` trims the random
-    state counts for quick smoke runs."""
+    state counts, and the product-round sizes, for quick smoke runs."""
     states = 50 if full else 8
     chan_states = 20 if full else 5
     results = []
@@ -234,4 +265,8 @@ def run_equivalence_suite(seed: int = 0, full: bool = True) -> list[CheckResult]
     results += check_channels(seed, chan_states)
     results += check_protocol_steps(seed, states)
     results += check_restricted_support(seed)
+    if full:
+        results += check_product_rounds(seed)
+    else:
+        results += check_product_rounds(seed, 1, QUICK_PRODUCT_SIZES)
     return results

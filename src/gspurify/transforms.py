@@ -4,7 +4,9 @@ The length-2^n coefficient vectors used throughout the package live on the
 group (Z_2)^n. Convolving over a subset of bit positions (XOR on those bits,
 coincidence on the rest) diagonalizes under a Walsh-Hadamard transform
 applied to just those bits, which is what `wht_bits` computes: one butterfly
-pass per selected bit, O(2^n) work each.
+pass per selected bit, O(2^n) work each. A protocol round on at most
+PRODUCT_MAX_BITS bits runs its transforms as matrix products with small
+Sylvester-Hadamard matrices instead (`_hadamard_products`).
 """
 
 from __future__ import annotations
@@ -145,18 +147,112 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
     return out
 
 
+# OpenBLAS runs a gemm of at most 2^18 multiply-adds (65536 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4) on the calling thread. Above that it may
+# hand work to a second thread: on a shared 2-vCPU host a 2^20 product,
+# 1024 x 32 by 32 x 32, took 24 us at the median and 8 ms at the 90th
+# percentile over 400 calls.
+BLAS_ONE_THREAD_MADDS = 1 << 18
+PRODUCT_GROUP_BITS = 5  # bits one Sylvester matrix transforms: 32 x 32
+# A round on 2^n entries runs as products at n <= PRODUCT_MAX_BITS: the
+# lowest group's product, 2^(n-5) rows by 32 by 32, is the largest one.
+PRODUCT_MAX_BITS = BLAS_ONE_THREAD_MADDS.bit_length() - 1 - PRODUCT_GROUP_BITS
+
+
+@functools.lru_cache(maxsize=2 * PRODUCT_GROUP_BITS)
+def _sylvester(f: int, inverse: bool) -> np.ndarray:
+    """The 2^f x 2^f Walsh-Hadamard matrix, H[i, j] = (-1)^popcount(i & j),
+    read-only; divided by 2^f for the inverse, which scales every sum by an
+    exact power of two."""
+    h = np.ones((1, 1))
+    for _ in range(f):
+        h = np.block([[h, h], [h, -h]])
+    if inverse:
+        h /= 1 << f
+    h.setflags(write=False)
+    return h
+
+
+@functools.lru_cache(maxsize=64)
+def _product_layout(n: int, mask: int) -> tuple[np.ndarray | None, np.ndarray | None, tuple[tuple[int, int], ...]]:
+    """Index arrays and product groups of a round over the bits of mask on
+    2^n entries: (gather, scatter, groups).
+
+    Gathering with the first array puts the bits of mask at the bottom of
+    memory in ascending order, the others above them; gathering with the
+    second, its inverse, puts them back in natural order. Both are None
+    where that layout is the natural one. groups is `_product_groups` of
+    popcount(mask).
+    """
+    bits = bit_positions(mask)
+    order = bits + [b for b in range(n) if not mask >> b & 1]
+    return _gather_index(order), _gather_index([order.index(b) for b in range(n)]), _product_groups(len(bits))
+
+
+def _product_groups(k: int) -> tuple[tuple[int, int], ...]:
+    """(f, lo) per product over the lowest k memory bits: bits lo..lo+f-1
+    go through one 2^f Sylvester matrix. The fewest groups of at most
+    PRODUCT_GROUP_BITS bits, whose sizes differ by at most one."""
+    count = -(-k // PRODUCT_GROUP_BITS)
+    groups, lo = [], 0
+    for i in range(count):
+        f = k // count + (i < k % count)
+        groups.append((f, lo))
+        lo += f
+    return tuple(groups)
+
+
+def _hadamard_products(x: np.ndarray, groups: tuple[tuple[int, int], ...], inverse: bool = False) -> np.ndarray:
+    """The transform of x over its memory bits named by groups (from
+    `_product_layout`), as a new array in the same layout; inverse divides
+    by 2^(total bits). The lowest group is x.reshape(-1, 2^f) @ H; a higher
+    one multiplies each stacked (2^f, 2^lo) block from the left."""
+    out = x
+    for f, lo in groups:
+        h = _sylvester(f, inverse)
+        if lo == 0:
+            out = out.reshape(-1, 1 << f) @ h
+        else:
+            out = np.matmul(h, out.reshape(-1, 1 << f, 1 << lo))
+    return x.copy() if out is x else out.reshape(-1)
+
+
+SPAN_TABLE_COLS = 10  # the span of up to this many low columns is cached: 4-8 KiB
+
+
+@functools.lru_cache(maxsize=64)  # a few column sets per graph in use
+def _span_table(cols: tuple[int, ...], dtype: type) -> np.ndarray:
+    """xor_span of cols, read-only."""
+    out = np.zeros(1 << len(cols), dtype=dtype)
+    _span_doubling(out, cols, 0)
+    out.setflags(write=False)
+    return out
+
+
+def _span_doubling(out: np.ndarray, cols, start: int) -> None:
+    """Fill out from 2^start upward, the entries below 2^start being the
+    span of the columns before cols[start]: those from 2^b to 2^(b+1) are
+    the ones below 2^b XOR cols[b]."""
+    for b in range(start, len(cols)):
+        np.bitwise_xor(out[: 1 << b], cols[b], out=out[1 << b : 2 << b])
+
+
 def xor_span(cols) -> np.ndarray:
     """out[k] is the XOR of cols[b] over the set bits b of k, for k in
     0..2^len(cols)-1, so out[i ^ j] == out[i] ^ out[j]: int32 while every
-    column is below 2^31, else int64. Built by binary-counter doubling: the
-    entries from 2^b to 2^(b+1) are the ones below 2^b XOR cols[b]."""
+    column is below 2^31, else int64. The span of the lowest SPAN_TABLE_COLS
+    columns is a cached table; binary-counter doubling extends it over the
+    rest, one ufunc call per column."""
     cols = [_as_mask(c) for c in cols]
     if any(c < 0 for c in cols):
         raise ValueError(f"columns {cols} hold a negative mask")
     dtype = np.int32 if all(c < 1 << 31 for c in cols) else np.int64
-    out = np.zeros(1 << len(cols), dtype=dtype)
-    for b, c in enumerate(cols):
-        np.bitwise_xor(out[: 1 << b], c, out=out[1 << b : 2 << b])
+    low = _span_table(tuple(cols[:SPAN_TABLE_COLS]), dtype)
+    if len(cols) <= SPAN_TABLE_COLS:
+        return low.copy()
+    out = np.empty(1 << len(cols), dtype=dtype)
+    out[: low.size] = low
+    _span_doubling(out, cols, SPAN_TABLE_COLS)
     return out
 
 

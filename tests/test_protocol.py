@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gspurify import protocol
 from gspurify.errors import BadParam, ZeroSuccess
 from gspurify.graphs import GraphKind, build_graph, standard_graph
 from gspurify.protocol import (
@@ -11,6 +12,8 @@ from gspurify.protocol import (
     Verdict,
     _depolarize_multiplier,
     _measure_flip_multiplier,
+    _meet_products,
+    _protocol_step,
     a_support_steps,
     iterate,
     p1_step,
@@ -29,7 +32,7 @@ from gspurify.states import (
     rho_a_family,
     rho_a_support,
 )
-from gspurify.transforms import spread_submasks, wht_bits
+from gspurify.transforms import PRODUCT_MAX_BITS, spread_submasks, wht_bits
 from reference import gather_mix, gather_vertex_moves, outcome_flip_masks, reference_step, relabeled, xor_cross_naive
 
 
@@ -532,3 +535,58 @@ def test_long_noisy_runs_match_coefficient_domain_rounds(kind, n, p):
         worst_p = max(worst_p, abs(row.p_succ - p_succ))
     assert worst_f <= 1e-13 and worst_p <= 1e-13
     assert np.abs(tr.final_state.lam - lam).max() <= 1e-13
+
+
+def butterfly_meet(spectrum, n, mask, flip):
+    """What `_meet_products` computes, as the butterfly round does it."""
+    x = wht_bits(spectrum, n, mask, inverse=True)
+    if flip is None:
+        x *= x
+    else:
+        x *= wht_bits(spectrum * flip, n, mask, inverse=True)
+    return wht_bits(x, n, mask)
+
+
+@pytest.mark.parametrize("n", range(1, PRODUCT_MAX_BITS + 1))
+def test_product_round_matches_butterflies_and_direct_sums(n, rng):
+    # Every size the products serve, over the two colour classes of a path,
+    # the full mask, no bit and random masks, without and with a partner
+    # weight: the flip of a random pattern a with probability 0.3, whose
+    # multiplier is 1 - 0.6 on characters of odd parity with a.
+    full = (1 << n) - 1
+    a_mask = full // 3
+    masks = {a_mask, full ^ a_mask, full, 0, *(int(m) for m in rng.integers(0, 1 << n, size=2))}
+    lam = rng.random(1 << n) ** 4  # peaked, unlike a near-uniform draw
+    lam /= lam.sum()
+    spectrum = wht_bits(lam, n, full)
+    pattern = int(rng.integers(1, 1 << n)) if n > 1 else 1
+    flip = 1.0 - 0.6 * (np.bitwise_count(np.arange(1 << n) & pattern) & 1)
+    partner = 0.7 * lam + 0.3 * lam[np.arange(1 << n) ^ pattern]
+    keep = spectrum.copy()
+    for mask in masks:
+        for weight, other in ((None, lam), (flip, partner)):
+            got = _meet_products(spectrum, n, mask, weight)
+            assert np.abs(got - butterfly_meet(spectrum, n, mask, weight)).max() <= 1e-12, (bin(mask), weight)
+            direct = wht_bits(xor_cross_naive(lam, other, n, full ^ mask), n, full)
+            assert np.abs(got - direct).max() <= 1e-12, (bin(mask), weight)
+    assert np.array_equal(spectrum, keep)  # the input is never written, not even with no bit to transform
+
+
+@pytest.mark.parametrize("n,products", [(PRODUCT_MAX_BITS, True), (PRODUCT_MAX_BITS + 1, False)])
+def test_rounds_run_products_up_to_the_cap(monkeypatch, n, products):
+    # A state built as its spectrum needs no transform of its own, so every
+    # wht_bits call is the round's.
+    g = standard_graph(GraphKind.LINEAR_CLUSTER, n)
+    s = prepared_with_channel_noise(g, 0.9)
+    calls = []
+    for name in ("_meet_products", "wht_bits"):
+        real = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    for step in (p1_step, p2_step):
+        step(s, 0.95, 0.01)
+    assert calls == (["_meet_products"] * 2 if products else ["wht_bits"] * 6)
+    # Either route on either side of the cap gives the same round.
+    for which in Protocol:
+        got, want = (_protocol_step(s, which, 0.95, 0.01, route) for route in (True, False))
+        assert np.abs(got.state.spectrum - want.state.spectrum).max() <= 1e-12
+        assert abs(got.p_succ - want.p_succ) <= 1e-12

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from gspurify.transforms import WHT_BLOCK_BITS, _cg_layout, bit_positions, spread_submasks, wht_bits, xor_span
+from gspurify.transforms import (
+    BLAS_ONE_THREAD_MADDS,
+    PRODUCT_GROUP_BITS,
+    PRODUCT_MAX_BITS,
+    WHT_BLOCK_BITS,
+    _cg_layout,
+    _product_groups,
+    _product_layout,
+    _span_table,
+    _sylvester,
+    bit_positions,
+    spread_submasks,
+    wht_bits,
+    xor_span,
+)
 from reference import plain_wht, xor_cross_naive
 
 
@@ -181,3 +195,53 @@ def test_xor_span_of_no_columns_and_negative_columns():
     assert np.array_equal(xor_span([]), [0])
     with pytest.raises(ValueError, match="negative"):
         xor_span([1, -2])
+
+
+def test_product_layout_caches():
+    # Bounded caches of read-only arrays; the scatter undoes the gather, the
+    # gather puts the mask's bits lowest in ascending order, and a mask of
+    # the lowest bits needs no index array at all.
+    assert 0 < _product_layout.cache_info().maxsize <= 64
+    assert 0 < _sylvester.cache_info().maxsize <= 2 * PRODUCT_GROUP_BITS
+    assert _product_layout(10, 0b11111) == (None, None, ((5, 0),))
+    mask = 0b1001100101
+    gather, scatter, groups = _product_layout(10, mask)
+    for idx in (gather, scatter):
+        assert idx.dtype == np.intp and not idx.flags.writeable
+    assert np.array_equal(gather[scatter], np.arange(1 << 10))
+    assert np.array_equal(scatter[gather], np.arange(1 << 10))
+    bits = bit_positions(mask)
+    assert [int(gather[1 << t]) for t in range(len(bits))] == [1 << b for b in bits]
+    assert groups == _product_groups(len(bits))
+    for f in range(1, PRODUCT_GROUP_BITS + 1):
+        h, h_inv = _sylvester(f, False), _sylvester(f, True)
+        assert not h.flags.writeable and not h_inv.flags.writeable
+        assert np.array_equal(h @ h_inv, np.eye(1 << f))
+        assert all(h[i, j] == (-1) ** (i & j).bit_count() for i in range(1 << f) for j in range(1 << f))
+
+
+def test_products_stay_on_one_blas_thread():
+    # OpenBLAS runs a gemm of at most BLAS_ONE_THREAD_MADDS multiply-adds on
+    # the calling thread. At the cap no product may exceed it, whatever the
+    # coincidence bits, and one more qubit would: the cap is the largest.
+    def madds(n, groups):
+        # lowest group: 2^(n-f) rows by 2^f by 2^f; a higher one: 2^f by 2^f by 2^lo per block
+        return [(1 << (n + f)) if lo == 0 else 1 << (2 * f + lo) for f, lo in groups]
+
+    for k in range(PRODUCT_MAX_BITS + 1):
+        groups = _product_groups(k)
+        assert [lo for _, lo in groups] == [sum(f for f, _ in groups[:i]) for i in range(len(groups))]
+        assert sum(f for f, _ in groups) == k and all(1 <= f <= PRODUCT_GROUP_BITS for f, _ in groups)
+        assert max(madds(PRODUCT_MAX_BITS, groups), default=0) <= BLAS_ONE_THREAD_MADDS, k
+    assert max(madds(PRODUCT_MAX_BITS + 1, _product_groups(PRODUCT_GROUP_BITS))) > BLAS_ONE_THREAD_MADDS
+
+
+def test_xor_span_table_is_cached_and_read_only():
+    # The low columns' span comes from a bounded cache of read-only tables;
+    # what xor_span returns is a fresh array the caller may write.
+    cols = [0b101, 0b011, 0b110]
+    span = xor_span(cols)
+    table = _span_table(tuple(cols), np.int32)
+    assert 0 < _span_table.cache_info().maxsize <= 64
+    assert not table.flags.writeable and span.flags.writeable
+    assert np.array_equal(span, table) and span is not table
