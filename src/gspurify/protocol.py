@@ -3,13 +3,13 @@
 Each step consumes two identical copies of the current state. The surviving
 copy's coefficient update is an XOR self-convolution over one color class
 with coincidence on the other, which the fast path evaluates with
-Walsh-Hadamard transforms over the relevant bit subset: small matrix
-products up to PRODUCT_MAX_BITS qubits, butterflies above. Gate noise
-(depolarizing every qubit of both copies before the perfect gate layer) and
-classical measurement-outcome flips both become pointwise multipliers in the
-transform domain. A round takes and returns the state as its spectrum (the
-transform over all n bits), so it transforms over its coincidence bits
-alone, O(2^n * |C|), and a trajectory transforms its input once.
+Walsh-Hadamard transforms over the relevant bit subset, as products with
+small Sylvester matrices. Gate noise (depolarizing every qubit of both
+copies before the perfect gate layer) and classical measurement-outcome
+flips both become pointwise multipliers in the transform domain. A round
+takes and returns the state as its spectrum (the transform over all n
+bits), so it transforms over its coincidence bits alone, O(2^n * |C|),
+and a trajectory transforms its input once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
 from .states import ASupportState, GDState, PauliAxis, _checked_dim, _depolarizing_pass, _power_table, pauli_flip_mask
-from .transforms import PRODUCT_MAX_BITS, _hadamard_products, _product_layout, spread_submasks, wht_bits
+from .transforms import _hadamard_products, _product_layout, spread_submasks
 
 
 class Protocol(Enum):
@@ -118,7 +118,7 @@ def _check_noise(p: float, f_m: float) -> None:
         raise BadParam(f"measurement flip probability f_m={f_m} outside [0,1/2]")
 
 
-def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, products: bool | None = None) -> StepResult:
+def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepResult:
     """One round on the state's spectrum, where gate noise and outcome flips
     are pointwise multipliers.
 
@@ -127,30 +127,16 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, products: 
     multiplier (left out at p = 1), and its partner is x, or
     iWHT_C(spectrum * M * F) with the flip multiplier F. WHT_C of their
     product is the unnormalized output's spectrum, whose entry 0 is the
-    acceptance. A round thus transforms over C alone, three times at most:
-    as matrix products (`_meet_products`) up to PRODUCT_MAX_BITS qubits,
-    as butterflies above; products=True or False picks one at any size,
-    so that the selfcheck can hold one against the other.
+    acceptance: three transforms over C at most (`_meet_products`).
     """
     _check_noise(p, f_m)
     g = s.graph
-    coin_mask = _coincidence_mask(g, which)
-    spectrum = s.spectrum
-    if p < 1.0:
-        spectrum = spectrum * _depolarize_multiplier(g, p)
-    if (g.n <= PRODUCT_MAX_BITS) if products is None else products:
-        flip = _measure_flip_multiplier(g, f_m, which) if f_m > 0.0 else None
-        out = _meet_products(spectrum, g.n, coin_mask, flip)
-    else:
-        # The flip multiplier is fetched once x exists. Built first (a cache
-        # miss allocates four 2^N-entry arrays), it moved later 2^20-entry
-        # buffers onto fresh pages: 6,000 more page faults a noisy-n20 job.
-        x = wht_bits(spectrum, g.n, coin_mask, inverse=True)
-        if f_m > 0.0:
-            x *= wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), g.n, coin_mask, inverse=True)
-        else:
-            x *= x
-        out = wht_bits(x, g.n, coin_mask)
+    # The flip multiplier is fetched before the round allocates anything: a
+    # cache miss builds four 2^N-entry temporaries, which then leave no
+    # round buffer behind them (a noisy-n20 pass peaks 5 MiB lower).
+    flip = _measure_flip_multiplier(g, f_m, which) if f_m > 0.0 else None
+    spectrum = s.spectrum if p == 1.0 else s.spectrum * _depolarize_multiplier(g, p)
+    out = _meet_products(spectrum, g.n, _coincidence_mask(g, which), flip)
     p_succ = _acceptance(out[0])
     out /= p_succ
     return StepResult(GDState.from_spectrum(g, out), p_succ)
@@ -158,20 +144,15 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float, products: 
 
 def _meet_products(spectrum: np.ndarray, n: int, coin_mask: int, flip: np.ndarray | None) -> np.ndarray:
     """WHT_C(x * partner) in natural order, unnormalized, with x =
-    iWHT_C(spectrum) and partner x, or iWHT_C(spectrum * flip), the
-    transforms as Sylvester matrix products in one layout that holds C's
-    bits lowest: one gather in (two with flip) and one scatter out, where
-    `wht_bits` takes two per transform. Sums run in BLAS's order, so
-    results differ from the butterflies' in the last bits."""
+    iWHT_C(spectrum) and partner x, or iWHT_C(spectrum * flip), as products
+    in a layout with C's bits lowest. spectrum is never written."""
     gather, scatter, groups = _product_layout(n, coin_mask)
-    x = _hadamard_products(spectrum if gather is None else spectrum[gather], groups, inverse=True)
+    x = _hadamard_products(spectrum, groups, True, gather)
     if flip is not None:
-        partner = spectrum * flip
-        x *= _hadamard_products(partner if gather is None else partner[gather], groups, inverse=True)
+        x *= _hadamard_products(spectrum * flip, groups, True, gather)
     else:
         x *= x
-    out = _hadamard_products(x, groups)
-    return out if scatter is None else out[scatter]
+    return _hadamard_products(x, groups, False, None, scatter)  # positional: cheaper on small rounds
 
 
 def _acceptance(total: float) -> float:

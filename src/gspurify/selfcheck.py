@@ -4,7 +4,7 @@ Used both by the test suite (acceptance gate) and by the CLI's oracle-check
 command. Every check compares an independent dense computation against the
 corresponding coefficient-level one and records the worst absolute error.
 Past the dense oracle's sizes, the matrix-product round is checked against
-the butterfly round it replaces there.
+the same round built from `wht_bits`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from . import oracle
 from .graphs import Graph, GraphKind, standard_graph
-from .protocol import Protocol, _protocol_step, a_support_steps, p1_step, p2_step
+from .protocol import (Protocol, _coincidence_mask, _depolarize_multiplier, _measure_flip_multiplier, _protocol_step,
+                       a_support_steps, p1_step, p2_step)
 from .states import (
     ASupportState,
     GDState,
@@ -27,7 +28,7 @@ from .states import (
     pauli_flip_mask,
     prepared_with_channel_noise,
 )
-from .transforms import PRODUCT_MAX_BITS
+from .transforms import wht_bits
 
 STEP_TOL = 1e-10
 CHANNEL_TOL = 1e-12
@@ -38,8 +39,8 @@ BASIS_PAIRS = 20  # random (mu, nu) pairs per graph for the CNOT basis map
 RESTRICTED_STATES = 4  # random A-support states per graph
 RESTRICTED_P = (1.0, 0.8, 0.5)  # bit-flip qualities of the restricted round
 PRODUCT_TOL = 1e-12
-PRODUCT_SIZES = range(5, PRODUCT_MAX_BITS + 1)  # above the dense oracle's graphs
-QUICK_PRODUCT_SIZES = (5, 9, PRODUCT_MAX_BITS)
+PRODUCT_SIZES = range(5, 17)  # above the dense oracle's graphs
+QUICK_PRODUCT_SIZES = (5, 9, 14)  # 14: past one 2^13-entry block, so rows are gathered too
 PRODUCT_KINDS = (("path", GraphKind.LINEAR_CLUSTER), ("ghz", GraphKind.GHZ))
 
 STANDARD_GRAPHS: tuple[tuple[str, GraphKind, int], ...] = (
@@ -232,10 +233,10 @@ def check_restricted_support(seed: int = 0) -> list[CheckResult]:
 
 def check_product_rounds(seed: int = 0, states_per_graph: int = 3,
                          sizes: Sequence[int] = PRODUCT_SIZES) -> list[CheckResult]:
-    """The matrix-product round against the butterfly round on the same
-    state, output spectrum and acceptance, for both protocols at every gate
-    quality and flip rate the dense checks use: the products serve every
-    round up to PRODUCT_MAX_BITS qubits, and the dense oracle stops at 4."""
+    """The matrix-product round against the same round by `wht_bits` calls,
+    output spectrum and acceptance, for both protocols at every gate quality
+    and flip rate the dense checks use: the dense oracle stops at 4 qubits,
+    and above 13 the products run block by block."""
     results = []
     for n in sizes:
         for label, kind in PRODUCT_KINDS:
@@ -246,9 +247,13 @@ def check_product_rounds(seed: int = 0, states_per_graph: int = 3,
                 for p in STEP_P:
                     for f_m in STEP_F_M:
                         for which in Protocol:
-                            got, want = (_protocol_step(s, which, p, f_m, products) for products in (True, False))
-                            worst = max(worst, float(np.abs(got.state.spectrum - want.state.spectrum).max()),
-                                        abs(got.p_succ - want.p_succ))
+                            got, coin = _protocol_step(s, which, p, f_m), _coincidence_mask(g, which)
+                            spectrum = s.spectrum if p == 1.0 else s.spectrum * _depolarize_multiplier(g, p)
+                            x = wht_bits(spectrum, n, coin, inverse=True)
+                            x *= x if f_m == 0.0 else wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), n, coin, inverse=True)
+                            want = wht_bits(x, n, coin)
+                            worst = max(worst, float(np.abs(got.state.spectrum - want / want[0]).max()),
+                                        abs(got.p_succ - want[0]))
             results.append(CheckResult(f"{label}-{n} product rounds vs butterflies", worst, PRODUCT_TOL))
     return results
 
@@ -265,8 +270,5 @@ def run_equivalence_suite(seed: int = 0, full: bool = True) -> list[CheckResult]
     results += check_channels(seed, chan_states)
     results += check_protocol_steps(seed, states)
     results += check_restricted_support(seed)
-    if full:
-        results += check_product_rounds(seed)
-    else:
-        results += check_product_rounds(seed, 1, QUICK_PRODUCT_SIZES)
+    results += check_product_rounds(seed) if full else check_product_rounds(seed, 1, QUICK_PRODUCT_SIZES)
     return results

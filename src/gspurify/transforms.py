@@ -3,10 +3,8 @@
 The length-2^n coefficient vectors used throughout the package live on the
 group (Z_2)^n. Convolving over a subset of bit positions (XOR on those bits,
 coincidence on the rest) diagonalizes under a Walsh-Hadamard transform
-applied to just those bits, which is what `wht_bits` computes: one butterfly
-pass per selected bit, O(2^n) work each. A protocol round on at most
-PRODUCT_MAX_BITS bits runs its transforms as matrix products with small
-Sylvester-Hadamard matrices instead (`_hadamard_products`).
+applied to just those bits: `wht_bits` as one butterfly pass per bit, and
+a protocol round's as products with small Sylvester-Hadamard matrices.
 """
 
 from __future__ import annotations
@@ -44,66 +42,24 @@ def bit_positions(mask: int) -> list[int]:
 WHT_BLOCK_BITS = 15  # 2^15 doubles (256 KiB) stay in L2 across the low-bit passes
 
 
-def _gather_index(order: list[int]) -> np.ndarray | None:
-    """For a layout whose memory bit t holds bit order[t] of the natural
-    index: the natural index of each memory position, read-only, or None
-    when the layout is the natural one."""
-    if order == list(range(len(order))):
-        return None
-    pos = np.arange(1 << len(order), dtype=np.intp)
-    idx = np.zeros_like(pos)
-    for t, b in enumerate(order):
-        idx |= (pos >> t & 1) << b
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.lru_cache(maxsize=64)
-def _cg_layout(n: int, mask: int) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """Index arrays of the constant-geometry kernel on 2^n entries, and its
-    number of passes: (gather in, gather out, popcount(mask)).
-
-    The kernel pairs memory bit 0 in every pass and rotates the memory bits
-    right by one, so it starts from a layout with the bits of mask at the
-    bottom in ascending order, the others above them, and after k passes
-    ends rotated by k. Gathering with the first array puts an entry in the
-    start layout; gathering with the second puts the result in natural
-    order. Either is None where its layout is the natural one: a full mask
-    gathers nothing.
-    """
-    bits = bit_positions(mask)
-    start = bits + [b for b in range(n) if not mask >> b & 1]
-    end = start[len(bits):] + start[: len(bits)]
-    # natural bit b sits at memory bit end.index(b) after the last pass
-    return _gather_index(start), _gather_index([end.index(b) for b in range(n)]), len(bits)
-
-
-def _cg_kernel(src: np.ndarray, gather_in: np.ndarray | None, gather_out: np.ndarray | None,
-               k: int) -> np.ndarray:
-    """The transform of src over the k bits of its layout, as a new array.
-
-    Each pass reads memory bit 0 as its pair bit, lo, hi = x[0::2], x[1::2],
-    and writes lo + hi to the first half of the other buffer and lo - hi to
-    the second: one stride-2 read and two contiguous writes. src is never
-    written.
-    """
-    h = src.size >> 1
-    x = src if gather_in is None else src[gather_in]
-    y = np.empty(src.size)
-    for _ in range(k):
+def _cg_kernel(src: np.ndarray) -> np.ndarray:
+    """The transform of src over all its bits, as a new array. Each pass
+    reads memory bit 0 as its pair bit, lo, hi = x[0::2], x[1::2], and
+    writes lo + hi and lo - hi to the two halves of the other buffer, which
+    rotates the memory bits right by one: after one pass per bit the layout
+    is the natural one again. src is never written."""
+    h, x, y = src.size >> 1, src, np.empty(src.size)
+    for _ in range(h.bit_length()):
         lo, hi = x[0::2], x[1::2]
         np.add(lo, hi, y[:h])  # out= given by position: less call overhead
         np.subtract(lo, hi, y[h:])
         x, y = y, (x if x is not src else np.empty(src.size))
-    if x is src:
-        return src.copy()
-    return x if gather_out is None else x[gather_out]
+    return src.copy() if x is src else x
 
 
 def _butterflies(out: np.ndarray, mask: int) -> None:
-    """The passes of wht_bits over the bits of mask across the whole array,
-    in place, in ascending bit order: the high bits above the block size,
-    whose rows hold at least 2^WHT_BLOCK_BITS entries."""
+    """The plain pass-by-pass transform over the bits of mask, in place, in
+    ascending bit order."""
     for b in bit_positions(mask):
         pairs = out.reshape(-1, 2, 1 << b)  # [higher bits, bit b, lower bits]
         lo, hi = pairs[:, 0], pairs[:, 1]
@@ -120,28 +76,29 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
     2^popcount(mask) so that wht_bits(wht_bits(v, n, m), n, m, inverse=True)
     round-trips exactly.
 
-    The passes over the bits below WHT_BLOCK_BITS run in the constant-geometry
-    kernel `_cg_kernel`, one contiguous block of 2^WHT_BLOCK_BITS entries at
-    a time above that size, while the block is in cache; the passes over
-    the high bits then run over the whole array. Every entry sees the same
-    sums in the same ascending bit order as a plain pass-by-pass loop, so
-    the output is the same to the bit.
+    Over all n bits (every spectrum read-out), the passes below bit
+    WHT_BLOCK_BITS run in `_cg_kernel`, one block of 2^WHT_BLOCK_BITS
+    entries at a time while it is in cache, and the higher ones over the
+    whole array; any other mask runs the plain loop, `_butterflies`. Each
+    entry sees that loop's sums in its order, so the output is the same to
+    the bit.
     """
     mask = _as_mask(mask)
     if vec.shape != (1 << n,):
         raise ValueError(f"vector length {vec.shape} does not match n={n}")
     if mask >> n:
         raise ValueError(f"mask {mask:#b} selects bits outside 0..{n - 1} (n={n})")
-    src = np.asarray(vec, dtype=np.float64)
-    m = min(n, WHT_BLOCK_BITS)
-    layout = _cg_layout(m, mask & ((1 << m) - 1))
-    if n == m:
-        out = _cg_kernel(src, *layout)
+    if mask != (1 << n) - 1:
+        out = np.array(vec, dtype=np.float64)
+        _butterflies(out, mask)
+    elif n <= WHT_BLOCK_BITS:
+        out = _cg_kernel(np.asarray(vec, dtype=np.float64))
     else:
         out = np.empty(1 << n)
-        for block_in, block_out in zip(src.reshape(-1, 1 << m), out.reshape(-1, 1 << m)):
-            block_out[...] = _cg_kernel(block_in, *layout)
-        _butterflies(out, mask >> m << m)
+        blocks = np.asarray(vec, dtype=np.float64).reshape(-1, 1 << WHT_BLOCK_BITS)
+        for block_in, block_out in zip(blocks, out.reshape(blocks.shape)):
+            block_out[...] = _cg_kernel(block_in)
+        _butterflies(out, mask >> WHT_BLOCK_BITS << WHT_BLOCK_BITS)
     if inverse:
         out /= 1 << mask.bit_count()
     return out
@@ -154,9 +111,9 @@ def wht_bits(vec: np.ndarray, n: int, mask: int, inverse: bool = False) -> np.nd
 # percentile over 400 calls.
 BLAS_ONE_THREAD_MADDS = 1 << 18
 PRODUCT_GROUP_BITS = 5  # bits one Sylvester matrix transforms: 32 x 32
-# A round on 2^n entries runs as products at n <= PRODUCT_MAX_BITS: the
-# lowest group's product, 2^(n-5) rows by 32 by 32, is the largest one.
-PRODUCT_MAX_BITS = BLAS_ONE_THREAD_MADDS.bit_length() - 1 - PRODUCT_GROUP_BITS
+# The lowest group's product over a block of 2^PRODUCT_BLOCK_BITS entries,
+# 2^(13-5) rows by 32 by 32, is the largest one that limit allows.
+PRODUCT_BLOCK_BITS = BLAS_ONE_THREAD_MADDS.bit_length() - 1 - PRODUCT_GROUP_BITS
 
 
 @functools.lru_cache(maxsize=2 * PRODUCT_GROUP_BITS)
@@ -173,20 +130,40 @@ def _sylvester(f: int, inverse: bool) -> np.ndarray:
     return h
 
 
-@functools.lru_cache(maxsize=64)
-def _product_layout(n: int, mask: int) -> tuple[np.ndarray | None, np.ndarray | None, tuple[tuple[int, int], ...]]:
-    """Index arrays and product groups of a round over the bits of mask on
-    2^n entries: (gather, scatter, groups).
-
-    Gathering with the first array puts the bits of mask at the bottom of
-    memory in ascending order, the others above them; gathering with the
-    second, its inverse, puts them back in natural order. Both are None
-    where that layout is the natural one. groups is `_product_groups` of
-    popcount(mask).
-    """
+def _layout_indices(mask: int, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Read-only index arrays on 2^n entries, or None where the layout is
+    the natural one: gathering with the first puts the bits of mask lowest
+    in ascending order, the others above; the second is its inverse."""
     bits = bit_positions(mask)
     order = bits + [b for b in range(n) if not mask >> b & 1]
-    return _gather_index(order), _gather_index([order.index(b) for b in range(n)]), _product_groups(len(bits))
+    if order == list(range(n)):
+        return None, None
+    pos = np.arange(1 << n)
+    gather = np.zeros_like(pos)
+    for t, b in enumerate(order):  # memory bit t holds natural bit b
+        gather |= (pos >> t & 1) << b
+    scatter = np.argsort(gather)  # the inverse permutation
+    for idx in (gather, scatter):
+        idx.setflags(write=False)
+    return gather, scatter
+
+
+@functools.lru_cache(maxsize=64)
+def _product_layout(n: int, mask: int) -> tuple:
+    """(gather, scatter, groups) of a round over the bits of mask on 2^n
+    entries, as in `_layout_indices`; groups are `_product_groups` of the
+    mask's bits below PRODUCT_BLOCK_BITS, then of those above, moved up.
+    Above that many bits the entries are rows of a block and gather and
+    scatter are (rows, columns): row r is row rows[r] of the old layout
+    with its columns gathered, so no index array outgrows a block."""
+    m = min(n, PRODUCT_BLOCK_BITS)
+    low, high = mask & ((1 << m) - 1), mask >> m
+    groups = _product_groups(low.bit_count()) + tuple((f, lo + m) for f, lo in _product_groups(high.bit_count()))
+    gather, scatter = _layout_indices(low, m)
+    if n == m:
+        return gather, scatter, groups
+    rows = [range(1 << (n - m)) if r is None else r for r in _layout_indices(high, n - m)]
+    return (rows[0], gather), (rows[1], scatter), groups
 
 
 def _product_groups(k: int) -> tuple[tuple[int, int], ...]:
@@ -202,19 +179,55 @@ def _product_groups(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(groups)
 
 
-def _hadamard_products(x: np.ndarray, groups: tuple[tuple[int, int], ...], inverse: bool = False) -> np.ndarray:
-    """The transform of x over its memory bits named by groups (from
-    `_product_layout`), as a new array in the same layout; inverse divides
-    by 2^(total bits). The lowest group is x.reshape(-1, 2^f) @ H; a higher
-    one multiplies each stacked (2^f, 2^lo) block from the left."""
-    out = x
+def _hadamard_products(x: np.ndarray, groups: tuple[tuple[int, int], ...], inverse: bool = False,
+                       gather=None, scatter=None) -> np.ndarray:
+    """The transform of x over its memory bits named by groups, a layout's
+    gather applied before or its scatter after; inverse divides by 2^(total
+    bits). Up to 2^PRODUCT_BLOCK_BITS entries the result is a new array: the
+    lowest group is x.reshape(-1, 2^f) @ H, a higher one multiplies each
+    stacked (2^f, 2^lo) block from the left. Above, one block row at a time
+    goes through the groups below the block, and the others run in place
+    (on the new array after a gather, on x, the caller's, before a scatter)."""
+    if x.size > 1 << PRODUCT_BLOCK_BITS:
+        rows, cols = gather or scatter
+        low = tuple((f, lo) for f, lo in groups if f > 1 and lo < PRODUCT_BLOCK_BITS)
+        rest = [g for g in groups if g not in low]
+        if gather is None:
+            _products_in_place(x, rest, inverse)
+        src = x.reshape(-1, 1 << PRODUCT_BLOCK_BITS)
+        out = np.empty(src.shape)
+        ends = (cols, None) if gather is not None else (None, cols)
+        for r, q in enumerate(rows):
+            out[r] = _hadamard_products(src[q], low, inverse, *ends) if low or cols is not None else src[q]
+        if gather is not None:
+            _products_in_place(out, rest, inverse)
+        return out.reshape(-1)
+    out = x if gather is None else x[gather]
     for f, lo in groups:
         h = _sylvester(f, inverse)
         if lo == 0:
             out = out.reshape(-1, 1 << f) @ h
         else:
             out = np.matmul(h, out.reshape(-1, 1 << f, 1 << lo))
-    return x.copy() if out is x else out.reshape(-1)
+    out = x.copy() if out is x else out.reshape(-1)
+    return out if scatter is None else out[scatter]
+
+
+def _products_in_place(x: np.ndarray, groups, inverse: bool) -> None:
+    """The groups' transforms on x in place, a block's worth of entries at a
+    time: 2^f rows of 2^(13-f) columns, so no product exceeds 2^(13+f) <=
+    BLAS_ONE_THREAD_MADDS; a 1-bit group (bit 0 or 13) as butterflies."""
+    for f, lo in groups:
+        if f == 1:  # a butterfly pass beats 2 x 2 products
+            for part in x.reshape(-1, 2 << PRODUCT_BLOCK_BITS):
+                _butterflies(part, 1 << lo)
+                if inverse:
+                    part *= 0.5
+            continue
+        h, width = _sylvester(f, inverse), (1 << PRODUCT_BLOCK_BITS) >> f
+        for block in x.reshape(-1, 1 << f, 1 << lo):
+            for c in range(0, 1 << lo, width):
+                block[:, c:c + width] = np.matmul(h, block[:, c:c + width])
 
 
 SPAN_TABLE_COLS = 10  # the span of up to this many low columns is cached: 4-8 KiB

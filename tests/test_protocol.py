@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gspurify import protocol
+from gspurify import protocol, states, transforms
 from gspurify.errors import BadParam, ZeroSuccess
 from gspurify.graphs import GraphKind, build_graph, standard_graph
 from gspurify.protocol import (
@@ -32,7 +34,7 @@ from gspurify.states import (
     rho_a_family,
     rho_a_support,
 )
-from gspurify.transforms import PRODUCT_MAX_BITS, spread_submasks, wht_bits
+from gspurify.transforms import PRODUCT_BLOCK_BITS, spread_submasks, wht_bits
 from reference import gather_mix, gather_vertex_moves, outcome_flip_masks, reference_step, relabeled, xor_cross_naive
 
 
@@ -538,7 +540,7 @@ def test_long_noisy_runs_match_coefficient_domain_rounds(kind, n, p):
 
 
 def butterfly_meet(spectrum, n, mask, flip):
-    """What `_meet_products` computes, as the butterfly round does it."""
+    """What `_meet_products` computes, by wht_bits calls."""
     x = wht_bits(spectrum, n, mask, inverse=True)
     if flip is None:
         x *= x
@@ -547,12 +549,13 @@ def butterfly_meet(spectrum, n, mask, flip):
     return wht_bits(x, n, mask)
 
 
-@pytest.mark.parametrize("n", range(1, PRODUCT_MAX_BITS + 1))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_product_round_matches_butterflies_and_direct_sums(n, rng):
-    # Every size the products serve, over the two colour classes of a path,
-    # the full mask, no bit and random masks, without and with a partner
-    # weight: the flip of a random pattern a with probability 0.3, whose
-    # multiplier is 1 - 0.6 on characters of odd parity with a.
+    # One block and up to eight of them, over the two colour classes of a
+    # path, the full mask, no bit and random masks, without and with a
+    # partner weight: the flip of a random pattern a with probability 0.3,
+    # whose multiplier is 1 - 0.6 on characters of odd parity with a. The
+    # direct sums stop at one block, where they still take a second.
     full = (1 << n) - 1
     a_mask = full // 3
     masks = {a_mask, full ^ a_mask, full, 0, *(int(m) for m in rng.integers(0, 1 << n, size=2))}
@@ -567,26 +570,45 @@ def test_product_round_matches_butterflies_and_direct_sums(n, rng):
         for weight, other in ((None, lam), (flip, partner)):
             got = _meet_products(spectrum, n, mask, weight)
             assert np.abs(got - butterfly_meet(spectrum, n, mask, weight)).max() <= 1e-12, (bin(mask), weight)
-            direct = wht_bits(xor_cross_naive(lam, other, n, full ^ mask), n, full)
-            assert np.abs(got - direct).max() <= 1e-12, (bin(mask), weight)
+            if n <= PRODUCT_BLOCK_BITS:
+                direct = wht_bits(xor_cross_naive(lam, other, n, full ^ mask), n, full)
+                assert np.abs(got - direct).max() <= 1e-12, (bin(mask), weight)
     assert np.array_equal(spectrum, keep)  # the input is never written, not even with no bit to transform
 
 
-@pytest.mark.parametrize("n,products", [(PRODUCT_MAX_BITS, True), (PRODUCT_MAX_BITS + 1, False)])
-def test_rounds_run_products_up_to_the_cap(monkeypatch, n, products):
-    # A state built as its spectrum needs no transform of its own, so every
-    # wht_bits call is the round's.
+@pytest.mark.parametrize("n", [PRODUCT_BLOCK_BITS, PRODUCT_BLOCK_BITS + 1, 20])
+def test_rounds_call_no_wht_bits(monkeypatch, n):
+    # A state built as its spectrum needs no transform of its own, so a
+    # wht_bits call could only be the round's: at one block, just past it
+    # and at 2^20 entries every round runs as products.
     g = standard_graph(GraphKind.LINEAR_CLUSTER, n)
     s = prepared_with_channel_noise(g, 0.9)
     calls = []
-    for name in ("_meet_products", "wht_bits"):
-        real = getattr(protocol, name)
-        monkeypatch.setattr(protocol, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    assert not hasattr(protocol, "wht_bits")
+    for module in (states, transforms):
+        monkeypatch.setattr(module, "wht_bits", lambda *a, _real=module.wht_bits, **k: calls.append(a[1:3]) or _real(*a, **k))
     for step in (p1_step, p2_step):
-        step(s, 0.95, 0.01)
-    assert calls == (["_meet_products"] * 2 if products else ["wht_bits"] * 6)
-    # Either route on either side of the cap gives the same round.
-    for which in Protocol:
-        got, want = (_protocol_step(s, which, 0.95, 0.01, route) for route in (True, False))
-        assert np.abs(got.state.spectrum - want.state.spectrum).max() <= 1e-12
-        assert abs(got.p_succ - want.p_succ) <= 1e-12
+        for f_m in (0.0, 0.01):
+            assert step(s, 0.95, f_m).p_succ > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("f_m,bound", [(0.0, 3.1), (0.01, 4.1)])
+def test_round_peak_memory_n18(f_m, bound):
+    # Up to the scatter a round holds its input times the gate-noise
+    # multiplier, the gathered and transformed copy and the output (with
+    # flips, also the input times the flip multiplier and its transform);
+    # above one block no index array or product is larger than a block.
+    for kind in (GraphKind.LINEAR_CLUSTER, GraphKind.GHZ):
+        g = standard_graph(kind, 18)
+        s = prepared_with_channel_noise(g, 0.9)
+        vector = 8 * g.dim
+        for step in (p1_step, p2_step):
+            step(s, 0.95, f_m)  # warm the caches first
+            tracemalloc.start()
+            try:
+                step(s, 0.95, f_m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * vector, f"{kind.name} {step.__name__} peak {peak / vector:.2f} x 2^n doubles"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from gspurify import protocol, transforms
 from gspurify.transforms import (
     BLAS_ONE_THREAD_MADDS,
+    PRODUCT_BLOCK_BITS,
     PRODUCT_GROUP_BITS,
-    PRODUCT_MAX_BITS,
     WHT_BLOCK_BITS,
-    _cg_layout,
     _product_groups,
     _product_layout,
     _span_table,
@@ -117,18 +117,6 @@ def test_cg_kernel_matches_plain_loop(rng, n):
         assert np.array_equal(vec, keep), name
 
 
-def test_cg_layout_cache_limits():
-    # A bounded cache of read-only permutations; the full mask (every
-    # spectrum read-out) needs no gather at all.
-    assert 0 < _cg_layout.cache_info().maxsize <= 64
-    assert _cg_layout(10, (1 << 10) - 1) == (None, None, 10)
-    gather_in, gather_out, k = _cg_layout(10, 0b1010101010)
-    assert k == 5
-    for idx in (gather_in, gather_out):
-        assert idx.dtype == np.intp and not idx.flags.writeable
-        assert np.array_equal(np.sort(idx), np.arange(1 << 10))
-
-
 def test_wht_does_not_mutate_input(rng):
     vec = rng.standard_normal(8)
     keep = vec.copy()
@@ -220,20 +208,51 @@ def test_product_layout_caches():
         assert all(h[i, j] == (-1) ** (i & j).bit_count() for i in range(1 << f) for j in range(1 << f))
 
 
-def test_products_stay_on_one_blas_thread():
-    # OpenBLAS runs a gemm of at most BLAS_ONE_THREAD_MADDS multiply-adds on
-    # the calling thread. At the cap no product may exceed it, whatever the
-    # coincidence bits, and one more qubit would: the cap is the largest.
-    def madds(n, groups):
-        # lowest group: 2^(n-f) rows by 2^f by 2^f; a higher one: 2^f by 2^f by 2^lo per block
-        return [(1 << (n + f)) if lo == 0 else 1 << (2 * f + lo) for f, lo in groups]
+def test_block_layout_holds_no_array_above_a_block():
+    # Above one block the permutation is split into rows and columns: at
+    # 2^24 entries the cached layout is index arrays of at most a block.
+    n = 24
+    full = (1 << n) - 1
+    for mask in (full // 3, full ^ (full // 3), full, 1, 1 << 20):
+        gather, scatter, groups = _product_layout(n, mask)
+        for idx in (*gather, *scatter):
+            if idx is not None and not isinstance(idx, range):  # None or range: the natural order
+                assert idx.dtype == np.intp and not idx.flags.writeable
+                assert idx.size <= 1 << PRODUCT_BLOCK_BITS
+        assert sum(f for f, _ in groups) == mask.bit_count()
 
-    for k in range(PRODUCT_MAX_BITS + 1):
+
+def test_products_stay_on_one_blas_thread(monkeypatch, rng):
+    # OpenBLAS runs a gemm of at most BLAS_ONE_THREAD_MADDS multiply-adds on
+    # the calling thread. Every product of a round takes a Sylvester matrix,
+    # so one that records each matmul it enters sees every gemm (a stacked
+    # product is one gemm per stacked matrix), whatever the coincidence
+    # bits: a colour class, the full mask, a single bit and random masks.
+    for k in range(3 * PRODUCT_GROUP_BITS + 1):
         groups = _product_groups(k)
         assert [lo for _, lo in groups] == [sum(f for f, _ in groups[:i]) for i in range(len(groups))]
         assert sum(f for f, _ in groups) == k and all(1 <= f <= PRODUCT_GROUP_BITS for f, _ in groups)
-        assert max(madds(PRODUCT_MAX_BITS, groups), default=0) <= BLAS_ONE_THREAD_MADDS, k
-    assert max(madds(PRODUCT_MAX_BITS + 1, _product_groups(PRODUCT_GROUP_BITS))) > BLAS_ONE_THREAD_MADDS
+    madds = []
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            assert ufunc is np.matmul and method == "__call__" and not kwargs
+            a, b = (np.asarray(x) for x in inputs)
+            madds.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return np.matmul(a, b)
+
+    real = transforms._sylvester
+    monkeypatch.setattr(transforms, "_sylvester", lambda f, inverse: real(f, inverse).view(Recording))
+    for n in (PRODUCT_BLOCK_BITS, PRODUCT_BLOCK_BITS + 1, 16, 20):
+        full = (1 << n) - 1
+        masks = [full // 3, full ^ (full // 3), full, 1, 1 << (n - 1), *(int(m) for m in rng.integers(1, full, size=2))]
+        spectrum = rng.random(1 << n)
+        for mask in masks:
+            madds.clear()
+            got = protocol._meet_products(spectrum, n, mask, spectrum)
+            assert type(got) is np.ndarray
+            assert (max(madds) if madds else 0) <= BLAS_ONE_THREAD_MADDS, (n, bin(mask))
+            assert madds or mask.bit_count() == 1, (n, bin(mask))  # a lone bit above a block is butterflies
 
 
 def test_xor_span_table_is_cached_and_read_only():
