@@ -1,8 +1,13 @@
 """Two-colorable graphs and the bit-level syndrome machinery built on them.
 
-Convention used everywhere in this package: vertex v corresponds to bit v of
-an integer index, with bit 0 least significant. Standard families are
-numbered from 0.
+Convention for every coefficient vector and every vertex number a caller
+sees: vertex v corresponds to bit v of an integer index, with bit 0 least
+significant. Standard families are numbered from 0.
+
+Spectra, the engine's vectors, use one other vertex order per graph, which
+this module owns (`Graph.engine_order`): the larger colour class lowest, so
+each class's syndrome bits form one run that a protocol round transforms
+with no gather. `Graph.to_engine` and `Graph.from_engine` convert.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DuplicateEdge, InvalidParam, OddCycle, TooLarge
@@ -59,6 +65,36 @@ class Graph:
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+    @cached_property
+    def engine_order(self) -> tuple[int, ...]:
+        """The vertex at each bit of the engine's syndrome index: the larger
+        colour class lowest (A on a tie), then the other, each ascending."""
+        a, b = sorted(self.a_vertices), sorted(self.b_vertices)
+        return tuple(a + b if len(a) >= len(b) else b + a)
+
+    @cached_property
+    def engine(self) -> "Graph":
+        """This graph with vertex engine_order[i] numbered i and the same
+        colour classes, not recoloured: itself when the order is the identity."""
+        if self.engine_order == tuple(range(self.n)):
+            return self
+        pos = {v: i for i, v in enumerate(self.engine_order)}
+        a, b = (frozenset(pos[v] for v in vs) for vs in (self.a_vertices, self.b_vertices))
+        nbr = tuple(sum(1 << pos[w] for w in range(self.n) if self.neighbor_mask[v] >> w & 1) for v in self.engine_order)
+        edges = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in self.edges))
+        return Graph(self.n, edges, a, b, nbr, sum(1 << v for v in a), sum(1 << v for v in b))
+
+    def to_engine(self, vec):
+        """A 2^n vector indexed by this graph's syndromes, in the engine
+        order: one transposed copy of its (2,) * n view, whose axis j holds
+        bit n-1-j (a view for the identity order)."""
+        return vec.reshape((2,) * self.n).transpose([self.n - 1 - v for v in reversed(self.engine_order)]).reshape(-1)
+
+    def from_engine(self, vec):
+        """The inverse of `to_engine`."""
+        pos = sorted(range(self.n), key=self.engine_order.__getitem__)  # vertex v sits at engine bit pos[v]
+        return vec.reshape((2,) * self.n).transpose([self.n - 1 - pos[v] for v in reversed(range(self.n))]).reshape(-1)
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:

@@ -8,8 +8,9 @@ small Sylvester matrices. Gate noise (depolarizing every qubit of both
 copies before the perfect gate layer) and classical measurement-outcome
 flips both become pointwise multipliers in the transform domain. A round
 takes and returns the state as its spectrum (the transform over all n
-bits), so it transforms over its coincidence bits alone, O(2^n * |C|),
-and a trajectory transforms its input once.
+bits, in the graph's engine order, where its coincidence bits are one run),
+so it transforms over those bits alone, O(2^n * |C|), with no gather, and a
+trajectory transforms its input once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import BadParam, ZeroSuccess
 from .graphs import Graph
 from .states import ASupportState, GDState, PauliAxis, _checked_dim, _depolarizing_pass, _power_table, pauli_flip_mask
-from .transforms import _hadamard_products, _product_layout, spread_submasks
+from .transforms import _hadamard_products, _run_groups, spread_submasks
 
 
 class Protocol(Enum):
@@ -127,32 +128,33 @@ def _protocol_step(s: GDState, which: Protocol, p: float, f_m: float) -> StepRes
     multiplier (left out at p = 1), and its partner is x, or
     iWHT_C(spectrum * M * F) with the flip multiplier F. WHT_C of their
     product is the unnormalized output's spectrum, whose entry 0 is the
-    acceptance: three transforms over C at most (`_meet_products`).
+    acceptance: three transforms over C at most (`_meet_products`). M, F
+    and C come from the engine graph, the spectrum's vertex order.
     """
     _check_noise(p, f_m)
-    g = s.graph
+    g = s.graph.engine
     # The flip multiplier is fetched before the round allocates anything: a
     # cache miss builds four 2^N-entry temporaries, which then leave no
     # round buffer behind them (a noisy-n20 pass peaks 5 MiB lower).
     flip = _measure_flip_multiplier(g, f_m, which) if f_m > 0.0 else None
     spectrum = s.spectrum if p == 1.0 else s.spectrum * _depolarize_multiplier(g, p)
-    out = _meet_products(spectrum, g.n, _coincidence_mask(g, which), flip)
+    out = _meet_products(spectrum, _coincidence_mask(g, which), flip)
     p_succ = _acceptance(out[0])
     out /= p_succ
-    return StepResult(GDState.from_spectrum(g, out), p_succ)
+    return StepResult(GDState.from_spectrum(s.graph, out), p_succ)
 
 
-def _meet_products(spectrum: np.ndarray, n: int, coin_mask: int, flip: np.ndarray | None) -> np.ndarray:
-    """WHT_C(x * partner) in natural order, unnormalized, with x =
-    iWHT_C(spectrum) and partner x, or iWHT_C(spectrum * flip), as products
-    in a layout with C's bits lowest. spectrum is never written."""
-    gather, scatter, groups = _product_layout(n, coin_mask)
-    x = _hadamard_products(spectrum, groups, True, gather)
+def _meet_products(spectrum: np.ndarray, coin_mask: int, flip: np.ndarray | None) -> np.ndarray:
+    """WHT_C(x * partner), unnormalized, with x = iWHT_C(spectrum) and
+    partner x, or iWHT_C(spectrum * flip), as products over the run of bits
+    coin_mask in the spectrum's own layout. spectrum is never written."""
+    groups = _run_groups(coin_mask)
+    x = _hadamard_products(spectrum, groups, True)
     if flip is not None:
-        x *= _hadamard_products(spectrum * flip, groups, True, gather)
+        x *= _hadamard_products(spectrum * flip, groups, True)
     else:
         x *= x
-    return _hadamard_products(x, groups, False, None, scatter)  # positional: cheaper on small rounds
+    return _hadamard_products(x, groups)
 
 
 def _acceptance(total: float) -> float:

@@ -40,7 +40,7 @@ RESTRICTED_STATES = 4  # random A-support states per graph
 RESTRICTED_P = (1.0, 0.8, 0.5)  # bit-flip qualities of the restricted round
 PRODUCT_TOL = 1e-12
 PRODUCT_SIZES = range(5, 17)  # above the dense oracle's graphs
-QUICK_PRODUCT_SIZES = (5, 9, 14)  # 14: past one 2^13-entry block, so rows are gathered too
+QUICK_PRODUCT_SIZES = (5, 9, 14)  # 14: past one 2^13-entry block, where a class's run straddles its top
 PRODUCT_KINDS = (("path", GraphKind.LINEAR_CLUSTER), ("ghz", GraphKind.GHZ))
 
 STANDARD_GRAPHS: tuple[tuple[str, GraphKind, int], ...] = (
@@ -236,21 +236,23 @@ def check_product_rounds(seed: int = 0, states_per_graph: int = 3,
     """The matrix-product round against the same round by `wht_bits` calls,
     output spectrum and acceptance, for both protocols at every gate quality
     and flip rate the dense checks use: the dense oracle stops at 4 qubits,
-    and above 13 the products run block by block."""
+    and above 13 the products run block by block. Spectra are in the
+    engine order, so the masks and multipliers come from the engine graph."""
     results = []
     for n in sizes:
         for label, kind in PRODUCT_KINDS:
             g = standard_graph(kind, n)
+            eg = g.engine
             rng = np.random.default_rng(seed + 4)
             worst = 0.0
             for s in _random_diag_states(g, states_per_graph, rng):
                 for p in STEP_P:
                     for f_m in STEP_F_M:
                         for which in Protocol:
-                            got, coin = _protocol_step(s, which, p, f_m), _coincidence_mask(g, which)
-                            spectrum = s.spectrum if p == 1.0 else s.spectrum * _depolarize_multiplier(g, p)
+                            got, coin = _protocol_step(s, which, p, f_m), _coincidence_mask(eg, which)
+                            spectrum = s.spectrum if p == 1.0 else s.spectrum * _depolarize_multiplier(eg, p)
                             x = wht_bits(spectrum, n, coin, inverse=True)
-                            x *= x if f_m == 0.0 else wht_bits(spectrum * _measure_flip_multiplier(g, f_m, which), n, coin, inverse=True)
+                            x *= x if f_m == 0.0 else wht_bits(spectrum * _measure_flip_multiplier(eg, f_m, which), n, coin, inverse=True)
                             want = wht_bits(x, n, coin)
                             worst = max(worst, float(np.abs(got.state.spectrum - want / want[0]).max()),
                                         abs(got.p_succ - want[0]))

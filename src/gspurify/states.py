@@ -39,10 +39,11 @@ class GDState:
 
     A state built from its coefficients lam is validated here. A state that
     a protocol round produced holds its spectrum instead, the transform
-    WHT(lam) over all n bits (`from_spectrum`): rounds read and write the
-    spectrum, its fidelity is mean(spectrum), which is lam[0], and lam is
-    read out of it on first use. Either form is computed from the other at
-    most once.
+    WHT(lam) over all n bits in the graph's engine order (`from_spectrum`,
+    `Graph.engine_order`): rounds read and write the spectrum, its fidelity
+    is mean(spectrum), which is lam[0], and lam, in the graph's own vertex
+    numbers, is read out of it on first use. Either form is computed from
+    the other at most once, and only there do the two orders meet.
     """
 
     def __init__(self, graph: Graph, lam) -> None:
@@ -64,8 +65,9 @@ class GDState:
 
     @classmethod
     def from_spectrum(cls, graph: Graph, spectrum: np.ndarray) -> "GDState":
-        """The state whose coefficients transform to spectrum, normalised so
-        that spectrum[0], the coefficient sum, is 1."""
+        """The state whose coefficients transform to spectrum, given in the
+        graph's engine order and normalised so that spectrum[0], the
+        coefficient sum, is 1."""
         state = cls.__new__(cls)
         state.graph = graph
         state.spectrum = spectrum
@@ -74,8 +76,9 @@ class GDState:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """WHT(lam) over all n bits; a trajectory transforms its input once."""
-        return wht_bits(self.lam, self.graph.n, self.graph.dim - 1)
+        """WHT(lam) over all n bits in the engine order, computed once."""
+        g = self.graph
+        return g.to_engine(wht_bits(self.lam, g.n, g.dim - 1))
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -83,7 +86,7 @@ class GDState:
         leaves zero coefficients slightly off 0; they are clamped to 0, and
         one below -REL_NEG_TOL times the largest is refused."""
         g = self.graph
-        lam = wht_bits(self.spectrum, g.n, g.dim - 1, inverse=True)
+        lam = wht_bits(g.from_engine(self.spectrum), g.n, g.dim - 1, inverse=True)
         low = float(lam.min())
         if low < -REL_NEG_TOL * max(float(lam.max()), 1e-30):
             raise BadParam(f"coefficient {low} below roundoff floor")
@@ -228,7 +231,7 @@ def prepared_with_channel_noise(g: Graph, q: float) -> GDState:
     if not 0.0 <= q <= 1.0:
         raise BadParam(f"q={q} outside [0,1]")
     _checked_dim(g.n)
-    return GDState.from_spectrum(g, _depolarizing_pass(g, q))
+    return GDState.from_spectrum(g, _depolarizing_pass(g.engine, q))
 
 
 def global_white(g: Graph, x: float) -> GDState:

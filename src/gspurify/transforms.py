@@ -4,7 +4,8 @@ The length-2^n coefficient vectors used throughout the package live on the
 group (Z_2)^n. Convolving over a subset of bit positions (XOR on those bits,
 coincidence on the rest) diagonalizes under a Walsh-Hadamard transform
 applied to just those bits: `wht_bits` as one butterfly pass per bit, and
-a protocol round's as products with small Sylvester-Hadamard matrices.
+a protocol round's, over one run of adjacent bits, as products with small
+Sylvester-Hadamard matrices in the vector's own layout.
 """
 
 from __future__ import annotations
@@ -130,104 +131,56 @@ def _sylvester(f: int, inverse: bool) -> np.ndarray:
     return h
 
 
-def _layout_indices(mask: int, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Read-only index arrays on 2^n entries, or None where the layout is
-    the natural one: gathering with the first puts the bits of mask lowest
-    in ascending order, the others above; the second is its inverse."""
-    bits = bit_positions(mask)
-    order = bits + [b for b in range(n) if not mask >> b & 1]
-    if order == list(range(n)):
-        return None, None
-    pos = np.arange(1 << n)
-    gather = np.zeros_like(pos)
-    for t, b in enumerate(order):  # memory bit t holds natural bit b
-        gather |= (pos >> t & 1) << b
-    scatter = np.argsort(gather)  # the inverse permutation
-    for idx in (gather, scatter):
-        idx.setflags(write=False)
-    return gather, scatter
-
-
 @functools.lru_cache(maxsize=64)
-def _product_layout(n: int, mask: int) -> tuple:
-    """(gather, scatter, groups) of a round over the bits of mask on 2^n
-    entries, as in `_layout_indices`; groups are `_product_groups` of the
-    mask's bits below PRODUCT_BLOCK_BITS, then of those above, moved up.
-    Above that many bits the entries are rows of a block and gather and
-    scatter are (rows, columns): row r is row rows[r] of the old layout
-    with its columns gathered, so no index array outgrows a block."""
-    m = min(n, PRODUCT_BLOCK_BITS)
-    low, high = mask & ((1 << m) - 1), mask >> m
-    groups = _product_groups(low.bit_count()) + tuple((f, lo + m) for f, lo in _product_groups(high.bit_count()))
-    gather, scatter = _layout_indices(low, m)
-    if n == m:
-        return gather, scatter, groups
-    rows = [range(1 << (n - m)) if r is None else r for r in _layout_indices(high, n - m)]
-    return (rows[0], gather), (rows[1], scatter), groups
-
-
-def _product_groups(k: int) -> tuple[tuple[int, int], ...]:
-    """(f, lo) per product over the lowest k memory bits: bits lo..lo+f-1
-    go through one 2^f Sylvester matrix. The fewest groups of at most
-    PRODUCT_GROUP_BITS bits, whose sizes differ by at most one."""
-    count = -(-k // PRODUCT_GROUP_BITS)
-    groups, lo = [], 0
-    for i in range(count):
-        f = k // count + (i < k % count)
-        groups.append((f, lo))
-        lo += f
+def _run_groups(mask: int) -> tuple[tuple[int, int], ...]:
+    """(f, lo) per product of a transform over mask, one run of adjacent
+    bits: bits lo..lo+f-1 go through one 2^f Sylvester matrix. The run's
+    bits below PRODUCT_BLOCK_BITS and those above each split into the fewest
+    groups of at most PRODUCT_GROUP_BITS bits, with sizes within one."""
+    if not mask:
+        return ()
+    lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length()
+    if mask != (1 << hi) - (1 << lo):
+        raise ValueError(f"mask {mask:#b} is not one run of adjacent bits")
+    cut = min(max(lo, PRODUCT_BLOCK_BITS), hi)
+    groups = []
+    for start, k in ((lo, cut - lo), (cut, hi - cut)):
+        count = -(-k // PRODUCT_GROUP_BITS)
+        for i in range(count):
+            f = k // count + (i < k % count)
+            groups.append((f, start))
+            start += f
     return tuple(groups)
 
 
-def _hadamard_products(x: np.ndarray, groups: tuple[tuple[int, int], ...], inverse: bool = False,
-                       gather=None, scatter=None) -> np.ndarray:
-    """The transform of x over its memory bits named by groups, a layout's
-    gather applied before or its scatter after; inverse divides by 2^(total
-    bits). Up to 2^PRODUCT_BLOCK_BITS entries the result is a new array: the
-    lowest group is x.reshape(-1, 2^f) @ H, a higher one multiplies each
-    stacked (2^f, 2^lo) block from the left. Above, one block row at a time
-    goes through the groups below the block, and the others run in place
-    (on the new array after a gather, on x, the caller's, before a scatter)."""
+def _hadamard_products(x: np.ndarray, groups: tuple[tuple[int, int], ...], inverse: bool = False) -> np.ndarray:
+    """The transform of x over the bits its groups name (`_run_groups`), as
+    a new array; x is never written, and inverse divides by 2^(total bits).
+    Up to 2^PRODUCT_BLOCK_BITS entries the lowest group is
+    x.reshape(-1, 2^f) @ H, and a higher one multiplies each stacked
+    (2^f, 2^lo) block from the left. Above, each block goes through the
+    groups below its top, and the others run in place on the result, 2^f
+    rows of 2^(13-f) columns at a time, so no product exceeds 2^(13+f) <=
+    BLAS_ONE_THREAD_MADDS."""
     if x.size > 1 << PRODUCT_BLOCK_BITS:
-        rows, cols = gather or scatter
-        low = tuple((f, lo) for f, lo in groups if f > 1 and lo < PRODUCT_BLOCK_BITS)
-        rest = [g for g in groups if g not in low]
-        if gather is None:
-            _products_in_place(x, rest, inverse)
-        src = x.reshape(-1, 1 << PRODUCT_BLOCK_BITS)
-        out = np.empty(src.shape)
-        ends = (cols, None) if gather is not None else (None, cols)
-        for r, q in enumerate(rows):
-            out[r] = _hadamard_products(src[q], low, inverse, *ends) if low or cols is not None else src[q]
-        if gather is not None:
-            _products_in_place(out, rest, inverse)
-        return out.reshape(-1)
-    out = x if gather is None else x[gather]
+        low = tuple(g for g in groups if g[1] < PRODUCT_BLOCK_BITS)
+        if not low:
+            out = x.copy()
+        else:
+            out = np.empty(x.size)
+            for block, dst in zip(x.reshape(-1, 1 << PRODUCT_BLOCK_BITS), out.reshape(-1, 1 << PRODUCT_BLOCK_BITS)):
+                dst[...] = _hadamard_products(block, low, inverse)
+        for f, lo in groups[len(low):]:
+            h, width = _sylvester(f, inverse), (1 << PRODUCT_BLOCK_BITS) >> f
+            for block in out.reshape(-1, 1 << f, 1 << lo):
+                for c in range(0, 1 << lo, width):
+                    block[:, c:c + width] = np.matmul(h, block[:, c:c + width])
+        return out
+    out = x
     for f, lo in groups:
         h = _sylvester(f, inverse)
-        if lo == 0:
-            out = out.reshape(-1, 1 << f) @ h
-        else:
-            out = np.matmul(h, out.reshape(-1, 1 << f, 1 << lo))
-    out = x.copy() if out is x else out.reshape(-1)
-    return out if scatter is None else out[scatter]
-
-
-def _products_in_place(x: np.ndarray, groups, inverse: bool) -> None:
-    """The groups' transforms on x in place, a block's worth of entries at a
-    time: 2^f rows of 2^(13-f) columns, so no product exceeds 2^(13+f) <=
-    BLAS_ONE_THREAD_MADDS; a 1-bit group (bit 0 or 13) as butterflies."""
-    for f, lo in groups:
-        if f == 1:  # a butterfly pass beats 2 x 2 products
-            for part in x.reshape(-1, 2 << PRODUCT_BLOCK_BITS):
-                _butterflies(part, 1 << lo)
-                if inverse:
-                    part *= 0.5
-            continue
-        h, width = _sylvester(f, inverse), (1 << PRODUCT_BLOCK_BITS) >> f
-        for block in x.reshape(-1, 1 << f, 1 << lo):
-            for c in range(0, 1 << lo, width):
-                block[:, c:c + width] = np.matmul(h, block[:, c:c + width])
+        out = out.reshape(-1, 1 << f) @ h if lo == 0 else np.matmul(h, out.reshape(-1, 1 << f, 1 << lo))
+    return x.copy() if out is x else out.reshape(-1)
 
 
 SPAN_TABLE_COLS = 10  # the span of up to this many low columns is cached: 4-8 KiB

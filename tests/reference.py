@@ -10,8 +10,9 @@ Also here are the plain kernels the fast ones must match to the bit: the
 butterfly loop with no cache blocking, and the Pauli shuffle through 2^n
 index arrays instead of axis views; the ring gain region from 2^(n/2)
 vectors, which its closed form must match; the closed-form fidelity map of
-one perfect round on the rank-2^n_a family; and two graph helpers the tests
-build inputs with: a relabeled copy of a graph and its text form."""
+one perfect round on the rank-2^n_a family; and the graph helpers the tests
+build inputs with: a relabeled copy of a graph, its text form and a
+disconnected graph whose colour classes interleave."""
 
 from typing import Sequence
 
@@ -168,6 +169,11 @@ def vector_gain_region(n: int, p: float) -> tuple[float, float]:
     x_lo = _bisect(grid[first - 1], grid[first], gain, GAIN_EDGE_TOL)[0] if first > 0 else grid[0]
     x_hi = _bisect(grid[last], grid[last + 1], gain, GAIN_EDGE_TOL)[0] if last < len(grid) - 1 else top
     return x_lo, x_hi
+
+
+# Three components rooted at 0, 1 and 4: A = {0, 1, 4, 5, 6} and B = {2, 3},
+# so the classes interleave as A A B B A A A and neither is a run of bits.
+INTERLEAVED_GRAPH_TEXT = "7 4\n0 3\n3 5\n1 2\n2 6\n"
 
 
 def graph_to_text(g: Graph) -> str:

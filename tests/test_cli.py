@@ -6,10 +6,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gspurify
 from gspurify.analysis import QUANTITIES
+from gspurify.graphs import GraphKind, parse_graph_text, standard_graph
+from gspurify.protocol import Protocol
+from gspurify.states import GDState, pure_target, rho_a_family
 from gspurify.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -21,6 +25,7 @@ from gspurify.cli import (
     Scenario,
     run_command,
 )
+from reference import INTERLEAVED_GRAPH_TEXT, depolarized_chain, reference_step
 
 
 def run(capsys, *argv):
@@ -49,6 +54,38 @@ def test_purify_trace_and_dump(capsys, tmp_path):
     assert code == EXIT_OK
     assert "# verdict,converged" in out.read_text()
     assert dump.read_text().startswith("index,a_part,b_part,lambda")
+
+
+@pytest.mark.parametrize("family,param,p,f_m", [("rho-a", 0.7, 1.0, 0.0), ("rho-q", 0.9, 0.97, 0.01)],
+                         ids=["rho-a", "rho-q"])
+@pytest.mark.parametrize("graph", [("path", "--n", "5"), ("ring", "--n", "6"), ("grid", "--rows", "2", "--cols", "3"),
+                                   ("file",)], ids=["path-5", "ring-6", "grid-2x3", "interleaved"])
+def test_dump_final_matches_reference_chain(capsys, tmp_path, graph, family, param, p, f_m):
+    # The engine keeps spectra in its own vertex order; --dump-final reads
+    # them back into the graph's numbers, where its nonzero rows are those
+    # of a chain of direct-sum rounds (rho-a at p = 1 keeps most of them 0).
+    if graph[0] == "file":
+        gf = tmp_path / "g.txt"
+        gf.write_text(INTERLEAVED_GRAPH_TEXT)
+        graph, g = ("file", "--graph-file", str(gf)), parse_graph_text(INTERLEAVED_GRAPH_TEXT)
+    elif graph[0] == "grid":
+        g = standard_graph(GraphKind.GRID_CLUSTER, 2, 3)
+    else:
+        g = standard_graph(GraphKind(graph[0]), int(graph[2]))
+    dump = tmp_path / "state.csv"
+    code, _, _ = run(capsys, "purify", "--graph", *graph, "--family", family, "--param", str(param), "--p", str(p),
+                     "--f-m", str(f_m), "--eps", "0", "--tol", "0", "--r-max", "5", "--dump-final", str(dump))
+    assert code == EXIT_OK
+    s = rho_a_family(g, param) if family == "rho-a" else GDState(g, depolarized_chain(g, pure_target(g).lam, param))
+    for r in range(5):
+        s = reference_step(s, (Protocol.P1, Protocol.P2)[r % 2], p, f_m).state
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "index,a_part,b_part,lambda"
+    rows = {int(i): (int(a), int(b), float(lam)) for i, a, b, lam in (line.split(",") for line in lines[1:])}
+    assert sorted(rows) == [int(i) for i in np.nonzero(s.lam)[0]]
+    for i, (a, b, lam) in rows.items():
+        assert (a, b) == (i & g.a_mask, i & g.b_mask)
+        assert abs(lam - s.lam[i]) <= 1e-12
 
 
 @pytest.mark.parametrize("source", ["flag", "scenario"])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gspurify.errors import DuplicateEdge, InvalidParam, OddCycle, TooLarge
@@ -9,7 +10,7 @@ from gspurify.graphs import (
     standard_graph,
     syndrome_parts,
 )
-from reference import graph_to_text, relabeled
+from reference import INTERLEAVED_GRAPH_TEXT, graph_to_text, relabeled
 
 
 def max_degree(g):
@@ -169,3 +170,31 @@ def test_graph_hashable_and_frozen(path4):
     {path4: 1}
     with pytest.raises(AttributeError):
         path4.n = 5
+
+
+@pytest.mark.parametrize("g", [standard_graph(GraphKind.LINEAR_CLUSTER, 7), standard_graph(GraphKind.LINEAR_CLUSTER, 8),
+                               standard_graph(GraphKind.CLOSED_CLUSTER, 6), standard_graph(GraphKind.GRID_CLUSTER, 3, 4),
+                               standard_graph(GraphKind.GHZ, 6), standard_graph(GraphKind.GHZ, 2),
+                               parse_graph_text(INTERLEAVED_GRAPH_TEXT)],
+                         ids=["path-7", "path-8", "ring-6", "grid-3x4", "ghz-6", "ghz-2", "interleaved"])
+def test_engine_order_puts_each_class_on_one_run(g, rng):
+    # The larger class lowest (A on a tie), each ascending; the engine graph
+    # keeps the colour classes (a star's centre stays A, which BFS from a
+    # leaf would not give) and is its own engine graph.
+    a, b = sorted(g.a_vertices), sorted(g.b_vertices)
+    assert g.engine_order == tuple(a + b if len(a) >= len(b) else b + a)
+    e = g.engine
+    low, high = (e.a_mask, e.b_mask) if g.n_a >= g.n_b else (e.b_mask, e.a_mask)
+    assert low == (1 << max(g.n_a, g.n_b)) - 1 and low | high == g.dim - 1 and not low & high
+    pos = {v: i for i, v in enumerate(g.engine_order)}
+    assert e.a_vertices == {pos[v] for v in g.a_vertices} and e.b_vertices == {pos[v] for v in g.b_vertices}
+    assert set(e.edges) == {tuple(sorted((pos[u], pos[v]))) for u, v in g.edges}
+    for v in range(g.n):
+        assert e.neighbor_mask[pos[v]] == sum(1 << pos[u] for u in range(g.n) if g.neighbor_mask[v] >> u & 1)
+    assert e.engine is e and g.engine is e
+    # A vector moves by the same relabelling of its index bits, and back.
+    vec = rng.random(g.dim)
+    moved = g.to_engine(vec)
+    for k in range(g.dim):
+        assert moved[k] == vec[sum(1 << g.engine_order[i] for i in range(g.n) if k >> i & 1)]
+    assert np.array_equal(g.from_engine(moved), vec)

@@ -351,7 +351,7 @@ def test_channels_match_gather_reference(data):
     want = gather_mix(s.lam, q + r, gather_vertex_moves(g, v, r, r, r))
     assert np.array_equal(depolarizing_channel(s, v, q).lam, want)
     # The channel-noise input is the gate-noise multiplier read as a spectrum.
-    assert np.array_equal(prepared_with_channel_noise(g, q).spectrum, popcount_depolarize_multiplier(g, q))
+    assert np.array_equal(prepared_with_channel_noise(g, q).spectrum, g.to_engine(popcount_depolarize_multiplier(g, q)))
 
     flip = (1.0 - q) / 2.0
     want = s.lam
@@ -493,11 +493,11 @@ def test_lam_read_from_a_spectrum_refuses_what_roundoff_cannot_explain(path4):
     # it once, where roundoff below 1e-12 of the largest is clamped to 0.
     lam = np.full(path4.dim, 1.0 / (path4.dim - 1))
     lam[5] = -1e-14
-    s = GDState.from_spectrum(path4, wht_bits(lam, path4.n, path4.dim - 1))
+    s = GDState.from_spectrum(path4, path4.to_engine(wht_bits(lam, path4.n, path4.dim - 1)))
     assert s.lam[5] == 0.0 and s.lam is s.lam
     assert s.fidelity == pytest.approx(lam[0], abs=1e-16)
     lam[5] = -2e-12 * lam.max()
-    bad = GDState.from_spectrum(path4, wht_bits(lam, path4.n, path4.dim - 1))
+    bad = GDState.from_spectrum(path4, path4.to_engine(wht_bits(lam, path4.n, path4.dim - 1)))
     assert bad.fidelity == pytest.approx(lam[0], abs=1e-16)  # the spectrum alone still reads
     with pytest.raises(BadParam, match="below roundoff floor"):
         bad.lam
@@ -552,13 +552,17 @@ def butterfly_meet(spectrum, n, mask, flip):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_product_round_matches_butterflies_and_direct_sums(n, rng):
     # One block and up to eight of them, over the two colour classes of a
-    # path, the full mask, no bit and random masks, without and with a
-    # partner weight: the flip of a random pattern a with probability 0.3,
-    # whose multiplier is 1 - 0.6 on characters of odd parity with a. The
-    # direct sums stop at one block, where they still take a second.
+    # path in the engine order (the low and the high run), the full mask, no
+    # bit and random runs, without and with a partner weight: the flip of a
+    # random pattern a with probability 0.3, whose multiplier is 1 - 0.6 on
+    # characters of odd parity with a. The direct sums stop at one block,
+    # where they still take a second.
     full = (1 << n) - 1
-    a_mask = full // 3
-    masks = {a_mask, full ^ a_mask, full, 0, *(int(m) for m in rng.integers(0, 1 << n, size=2))}
+    low_run = (1 << (n + 1) // 2) - 1  # a path's class A, the larger or tied one
+    masks = {low_run, full ^ low_run, full, 0}
+    for lo, hi in rng.integers(0, n + 1, size=(2, 2)):
+        lo, hi = sorted((int(lo), int(hi)))
+        masks.add((1 << hi) - (1 << lo))
     lam = rng.random(1 << n) ** 4  # peaked, unlike a near-uniform draw
     lam /= lam.sum()
     spectrum = wht_bits(lam, n, full)
@@ -568,12 +572,15 @@ def test_product_round_matches_butterflies_and_direct_sums(n, rng):
     keep = spectrum.copy()
     for mask in masks:
         for weight, other in ((None, lam), (flip, partner)):
-            got = _meet_products(spectrum, n, mask, weight)
+            got = _meet_products(spectrum, mask, weight)
             assert np.abs(got - butterfly_meet(spectrum, n, mask, weight)).max() <= 1e-12, (bin(mask), weight)
             if n <= PRODUCT_BLOCK_BITS:
                 direct = wht_bits(xor_cross_naive(lam, other, n, full ^ mask), n, full)
                 assert np.abs(got - direct).max() <= 1e-12, (bin(mask), weight)
     assert np.array_equal(spectrum, keep)  # the input is never written, not even with no bit to transform
+    if n > 2:
+        with pytest.raises(ValueError, match="one run"):
+            _meet_products(spectrum, 0b101, None)
 
 
 @pytest.mark.parametrize("n", [PRODUCT_BLOCK_BITS, PRODUCT_BLOCK_BITS + 1, 20])
@@ -595,10 +602,10 @@ def test_rounds_call_no_wht_bits(monkeypatch, n):
 
 @pytest.mark.parametrize("f_m,bound", [(0.0, 3.1), (0.01, 4.1)])
 def test_round_peak_memory_n18(f_m, bound):
-    # Up to the scatter a round holds its input times the gate-noise
-    # multiplier, the gathered and transformed copy and the output (with
-    # flips, also the input times the flip multiplier and its transform);
-    # above one block no index array or product is larger than a block.
+    # A round holds its input times the gate-noise multiplier, the
+    # transformed copy and the output (with flips, also the input times the
+    # flip multiplier and its transform); above one block no product is
+    # larger than a block.
     for kind in (GraphKind.LINEAR_CLUSTER, GraphKind.GHZ):
         g = standard_graph(kind, 18)
         s = prepared_with_channel_noise(g, 0.9)

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspurify import oracle
 from gspurify.errors import BadDistribution, BadParam, NegativeCoefficient
-from gspurify.graphs import GraphKind, standard_graph
+from gspurify.graphs import GraphKind, parse_graph_text, standard_graph
 from gspurify.protocol import Protocol, _depolarize_multiplier, _measure_flip_multiplier
 from gspurify.states import (
     GDState,
@@ -21,7 +23,7 @@ from gspurify.states import (
     rho_a_support,
 )
 from gspurify.transforms import WHT_BLOCK_BITS, wht_bits
-from reference import depolarized_chain
+from reference import INTERLEAVED_GRAPH_TEXT, depolarized_chain
 
 
 def test_pure_target(ghz3):
@@ -270,14 +272,16 @@ def test_channel_noise_input_matches_full_width_chain_n18(kind, dims):
 
 def test_channel_noise_input_leaves_gate_multiplier_cached(path4):
     # A member loop builds one input per q at a fixed gate p: each input
-    # build must leave the one cached gate-noise multiplier in place.
-    _depolarize_multiplier(path4, 0.97)
+    # build must leave the one cached gate-noise multiplier in place. Rounds
+    # build it on the engine graph, in the spectra's order.
+    engine = path4.engine
+    _depolarize_multiplier(engine, 0.97)
     misses = _depolarize_multiplier.cache_info().misses
     for q in (0.9, 0.8, 0.97):
         s = prepared_with_channel_noise(path4, q)
-        _depolarize_multiplier(path4, 0.97)
+        _depolarize_multiplier(engine, 0.97)
         assert _depolarize_multiplier.cache_info().misses == misses
-    assert np.array_equal(s.spectrum, _depolarize_multiplier(path4, 0.97))
+    assert np.array_equal(s.spectrum, _depolarize_multiplier(engine, 0.97))
 
 
 def test_rho_a_support_embeds_to_family(ring4):
@@ -286,3 +290,30 @@ def test_rho_a_support_embeds_to_family(ring4):
     assert np.array_equal(s.embedded().lam, rho_a_family(ring4, 0.7).lam)
     with pytest.raises(BadParam):
         rho_a_support(ring4, 1.5)
+
+
+def engine_order_graphs():
+    """Paths, rings, grids and stars, whose classes the engine order moves,
+    and a disconnected graph whose classes interleave."""
+    return st.one_of(
+        st.integers(2, 9).map(lambda n: standard_graph(GraphKind.LINEAR_CLUSTER, n)),
+        st.integers(2, 5).map(lambda k: standard_graph(GraphKind.CLOSED_CLUSTER, 2 * k)),
+        st.tuples(st.integers(1, 3), st.integers(2, 3)).map(lambda rc: standard_graph(GraphKind.GRID_CLUSTER, *rc)),
+        st.integers(2, 9).map(lambda n: standard_graph(GraphKind.GHZ, n)),
+        st.just(parse_graph_text(INTERLEAVED_GRAPH_TEXT)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=engine_order_graphs(), seed=st.integers(0, 2**32 - 1), power=st.sampled_from([1, 8]))
+def test_spectrum_round_trips_through_the_engine_order(g, seed, power):
+    # A spectrum is in the engine order and lam in the graph's own numbers:
+    # the coefficients come back from the spectrum where they went in.
+    rng = np.random.default_rng(seed)
+    lam = rng.random(g.dim) ** power  # power 8: a peaked draw
+    lam /= lam.sum()
+    s = GDState(g, lam)
+    back = GDState.from_spectrum(g, s.spectrum)
+    assert np.abs(back.lam - lam).max() <= 1e-15
+    assert s.fidelity == lam[0]
+    assert abs(back.fidelity - lam[0]) <= 1e-15

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from gspurify import protocol, transforms
+from gspurify.graphs import GraphKind, standard_graph
+from gspurify.protocol import p1_step, p2_step
+from gspurify.states import prepared_with_channel_noise
 from gspurify.transforms import (
     BLAS_ONE_THREAD_MADDS,
     PRODUCT_BLOCK_BITS,
     PRODUCT_GROUP_BITS,
     WHT_BLOCK_BITS,
-    _product_groups,
-    _product_layout,
+    _run_groups,
     _span_table,
     _sylvester,
     bit_positions,
@@ -185,22 +187,22 @@ def test_xor_span_of_no_columns_and_negative_columns():
         xor_span([1, -2])
 
 
-def test_product_layout_caches():
-    # Bounded caches of read-only arrays; the scatter undoes the gather, the
-    # gather puts the mask's bits lowest in ascending order, and a mask of
-    # the lowest bits needs no index array at all.
-    assert 0 < _product_layout.cache_info().maxsize <= 64
+def test_run_groups_and_sylvester_caches():
+    # A round transforms one run of adjacent bits. Its groups are bounded
+    # and split at a block's top, so no group straddles it; a mask that is
+    # not one run is refused. The Sylvester matrices come from a bounded
+    # cache of read-only arrays.
+    assert 0 < _run_groups.cache_info().maxsize <= 64
     assert 0 < _sylvester.cache_info().maxsize <= 2 * PRODUCT_GROUP_BITS
-    assert _product_layout(10, 0b11111) == (None, None, ((5, 0),))
-    mask = 0b1001100101
-    gather, scatter, groups = _product_layout(10, mask)
-    for idx in (gather, scatter):
-        assert idx.dtype == np.intp and not idx.flags.writeable
-    assert np.array_equal(gather[scatter], np.arange(1 << 10))
-    assert np.array_equal(scatter[gather], np.arange(1 << 10))
-    bits = bit_positions(mask)
-    assert [int(gather[1 << t]) for t in range(len(bits))] == [1 << b for b in bits]
-    assert groups == _product_groups(len(bits))
+    assert _run_groups(0) == ()
+    assert _run_groups(0b11111) == ((5, 0),)
+    assert _run_groups(0b111111000) == ((3, 3), (3, 6))
+    top = PRODUCT_BLOCK_BITS
+    assert _run_groups((1 << 20) - (1 << 10)) == ((3, 10), (4, top), (3, top + 4))
+    assert _run_groups(1 << top) == ((1, top),)
+    for mask in (0b101, 0b1101, (1 << 20) - 2 - (1 << 15)):
+        with pytest.raises(ValueError, match="one run"):
+            _run_groups(mask)
     for f in range(1, PRODUCT_GROUP_BITS + 1):
         h, h_inv = _sylvester(f, False), _sylvester(f, True)
         assert not h.flags.writeable and not h_inv.flags.writeable
@@ -208,30 +210,18 @@ def test_product_layout_caches():
         assert all(h[i, j] == (-1) ** (i & j).bit_count() for i in range(1 << f) for j in range(1 << f))
 
 
-def test_block_layout_holds_no_array_above_a_block():
-    # Above one block the permutation is split into rows and columns: at
-    # 2^24 entries the cached layout is index arrays of at most a block.
-    n = 24
-    full = (1 << n) - 1
-    for mask in (full // 3, full ^ (full // 3), full, 1, 1 << 20):
-        gather, scatter, groups = _product_layout(n, mask)
-        for idx in (*gather, *scatter):
-            if idx is not None and not isinstance(idx, range):  # None or range: the natural order
-                assert idx.dtype == np.intp and not idx.flags.writeable
-                assert idx.size <= 1 << PRODUCT_BLOCK_BITS
-        assert sum(f for f, _ in groups) == mask.bit_count()
-
-
 def test_products_stay_on_one_blas_thread(monkeypatch, rng):
     # OpenBLAS runs a gemm of at most BLAS_ONE_THREAD_MADDS multiply-adds on
     # the calling thread. Every product of a round takes a Sylvester matrix,
     # so one that records each matmul it enters sees every gemm (a stacked
-    # product is one gemm per stacked matrix), whatever the coincidence
-    # bits: a colour class, the full mask, a single bit and random masks.
+    # product is one gemm per stacked matrix): P1 and P2 of paths, rings, a
+    # 4 x 5 grid and stars at 14, 16 and 20 qubits, and lone bits at 0 and
+    # 12, below a block's top, at 13, its top, and at 15 and 19, above it.
     for k in range(3 * PRODUCT_GROUP_BITS + 1):
-        groups = _product_groups(k)
-        assert [lo for _, lo in groups] == [sum(f for f, _ in groups[:i]) for i in range(len(groups))]
-        assert sum(f for f, _ in groups) == k and all(1 <= f <= PRODUCT_GROUP_BITS for f, _ in groups)
+        for lo in (0, 1, PRODUCT_BLOCK_BITS - 3):
+            groups = _run_groups((1 << lo + k) - (1 << lo))
+            assert [b for _, b in groups] == [lo + sum(f for f, _ in groups[:i]) for i in range(len(groups))]
+            assert sum(f for f, _ in groups) == k and all(1 <= f <= PRODUCT_GROUP_BITS for f, _ in groups)
     madds = []
 
     class Recording(np.ndarray):
@@ -243,16 +233,24 @@ def test_products_stay_on_one_blas_thread(monkeypatch, rng):
 
     real = transforms._sylvester
     monkeypatch.setattr(transforms, "_sylvester", lambda f, inverse: real(f, inverse).view(Recording))
-    for n in (PRODUCT_BLOCK_BITS, PRODUCT_BLOCK_BITS + 1, 16, 20):
-        full = (1 << n) - 1
-        masks = [full // 3, full ^ (full // 3), full, 1, 1 << (n - 1), *(int(m) for m in rng.integers(1, full, size=2))]
-        spectrum = rng.random(1 << n)
-        for mask in masks:
+    named = [(f"{kind.value}-{n}", standard_graph(kind, n)) for n in (14, 16, 20)
+             for kind in (GraphKind.LINEAR_CLUSTER, GraphKind.CLOSED_CLUSTER, GraphKind.GHZ)]
+    for name, g in named + [("grid-4x5", standard_graph(GraphKind.GRID_CLUSTER, 4, 5))]:
+        s = prepared_with_channel_noise(g, 0.9)
+        for step in (p1_step, p2_step):
             madds.clear()
-            got = protocol._meet_products(spectrum, n, mask, spectrum)
-            assert type(got) is np.ndarray
-            assert (max(madds) if madds else 0) <= BLAS_ONE_THREAD_MADDS, (n, bin(mask))
-            assert madds or mask.bit_count() == 1, (n, bin(mask))  # a lone bit above a block is butterflies
+            assert step(s, 0.95, 0.01).p_succ > 0.0
+            assert madds and max(madds) <= BLAS_ONE_THREAD_MADDS, (name, step.__name__)
+    n = 20
+    spectrum = rng.random(1 << n)
+    for b in (0, 12, 13, 15, 19):
+        madds.clear()
+        got = protocol._meet_products(spectrum, 1 << b, spectrum)
+        assert type(got) is np.ndarray
+        assert madds and max(madds) <= BLAS_ONE_THREAD_MADDS, b
+        x = wht_bits(spectrum, n, 1 << b, inverse=True)
+        x *= wht_bits(spectrum * spectrum, n, 1 << b, inverse=True)
+        assert np.abs(got - wht_bits(x, n, 1 << b)).max() <= 1e-12, b
 
 
 def test_xor_span_table_is_cached_and_read_only():
